@@ -37,7 +37,7 @@ use crate::enact::{enact_with, EnactOptions};
 use crate::parallel::Pool;
 use crate::serve::{render_exec_options, render_policy, Client, MAX_REQUEST_BYTES};
 use crate::sweep::{survival_report, FaultSweepReport, SweepConfig};
-use atl_model::wire::{parse_outcome, render_outcome, render_plan};
+use atl_model::wire::{fnv64, parse_outcome, render_outcome, render_plan};
 use atl_model::{
     execute_with_faults, sweep_plans_resolve, ExecOutcome, ExecutionCache, FaultPlan,
     PlanFingerprint, Protocol,
@@ -53,16 +53,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-/// The FNV-1a 64-bit checksum guarding store entries against bit rot.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A persistent on-disk store of execution outcomes, one file per
 /// `(context digest, plan fingerprint)` key.

@@ -11,10 +11,10 @@
 //! 1. the idealized protocol is enacted and hunted over the pool with a
 //!    shared [`ExecutionCache`];
 //! 2. each executed plan's run is projected onto the idealized protocol
-//!    ([`delivery_mask`]) and the degraded protocol re-annotated
-//!    ([`analyze_at`]), memoized per distinct mask — the signature is
-//!    the per-goal survived/lost/unproven vector plus which fault kinds
-//!    fired and how many steps were abandoned;
+//!    ([`delivery_mask`]) and its goals re-checked through
+//!    [`MaskVerdicts`], once per distinct mask — the signature is the
+//!    per-goal survived/lost/unproven vector plus which fault kinds fired
+//!    and how many steps were abandoned;
 //! 3. the report lists every class in discovery order with its witness
 //!    and shrunk minimal plan, byte-identical at every worker count.
 //!
@@ -24,17 +24,17 @@
 //! `MONITOR` sessions) into a starting corpus, so a hunt can pick up
 //! from live traffic.
 
-use crate::annotate::{analyze_at, AtProtocol, AtStep};
+use crate::annotate::{AtProtocol, AtStep};
 use crate::enact::{enact_with, EnactOptions};
 use crate::parallel::Pool;
-use crate::sweep::{degrade_at, delivery_mask};
+use crate::sweep::{delivery_mask, MaskVerdicts};
 use atl_lang::{Formula, Key, KeyTerm, Message, Principal};
 use atl_model::wire::parse_checkpoint;
 use atl_model::{
     hunt_plans_on, Action, DegradationClass, ExecOptions, ExecOutcome, ExecutionCache,
     ExpectPolicy, FaultKind, FaultPlan, HuntConfig, HuntOutcome, HuntStore, ModelError, TraceFeed,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// How to run an attack hunt over an idealized protocol.
@@ -130,25 +130,26 @@ const FAULT_POSITIONS: [(FaultKind, char); 6] = [
 ];
 
 /// A memoizing belief-survival classifier over `at`: each distinct
-/// delivery mask is annotated once, however many plans resolve to it.
-/// The signature is `goals=<S|L|U per goal> faults=<fired kinds>
-/// abandoned=<n>` for well-formed runs (S survived, L lost vs. the
-/// baseline, U unproven at baseline) and `failed <error class>` when
-/// execution stalls or the plan is invalid.
+/// delivery mask is annotated once ([`MaskVerdicts`]), however many
+/// plans resolve to it. The signature is `goals=<S|L|U per goal>
+/// faults=<fired kinds> abandoned=<n>` for well-formed runs (S survived,
+/// L lost vs. the baseline, U unproven at baseline) and `failed <error
+/// class>` when execution stalls or the plan is invalid.
 pub struct SignatureClassifier {
     at: AtProtocol,
     baseline_flags: Vec<bool>,
-    memo: BTreeMap<Vec<bool>, Vec<bool>>,
+    verdicts: MaskVerdicts,
 }
 
 impl SignatureClassifier {
     /// Builds the classifier, running the baseline annotation once.
     pub fn new(at: &AtProtocol) -> Self {
-        let baseline_flags = analyze_at(at).goals.iter().map(|(_, ok)| *ok).collect();
+        let mut verdicts = MaskVerdicts::new(at);
+        let baseline_flags = verdicts.flags(&verdicts.all_kept()).to_vec();
         SignatureClassifier {
             at: at.clone(),
             baseline_flags,
-            memo: BTreeMap::new(),
+            verdicts,
         }
     }
 
@@ -163,14 +164,7 @@ impl SignatureClassifier {
             Ok(ok) => ok,
             Err(e) => return format!("failed {}", error_class(e)),
         };
-        let mask = delivery_mask(&self.at, run);
-        let flags = self.memo.entry(mask.clone()).or_insert_with(|| {
-            analyze_at(&degrade_at(&self.at, &mask))
-                .goals
-                .iter()
-                .map(|(_, ok)| *ok)
-                .collect()
-        });
+        let flags = self.verdicts.flags(&delivery_mask(&self.at, run));
         let goals: String = self
             .baseline_flags
             .iter()

@@ -12,13 +12,14 @@
 //! just passes a fresh cache — the report bytes are identical either
 //! way (the e16 suite pins swept outcomes to direct execution).
 
-use crate::annotate::{analyze_at, AtProtocol, AtStep};
+use crate::annotate::AtProtocol;
 use crate::enact::{enact_with, EnactOptions};
 use crate::parallel::Pool;
-use atl_lang::{Formula, Key, KeyTerm, Message, Principal};
+use crate::sweep::{delivery_mask, sends_kept, MaskVerdicts};
+use atl_lang::{Formula, Key, KeyTerm, Message};
 use atl_model::{
-    sweep_plans_on, validate_run, Action, ExecOptions, ExecutionCache, ExpectPolicy, FaultPlan,
-    ModelError, Run,
+    sweep_plans_on, validate_run, ExecOptions, ExecutionCache, ExpectPolicy, FaultPlan, ModelError,
+    Run,
 };
 use std::fmt::Write as _;
 
@@ -51,9 +52,9 @@ pub struct InjectOutcome {
 
 /// Executes `req` against `at` and renders the belief-survival report.
 ///
-/// The baseline/degraded annotation pair is sharded over `pool`;
-/// execution goes through the sweep engine so `cache` can answer
-/// repeats.
+/// The baseline and degraded goal flags come from one [`MaskVerdicts`],
+/// whose annotation passes are sharded over `pool`; execution goes
+/// through the sweep engine so `cache` can answer repeats.
 ///
 /// # Errors
 ///
@@ -131,46 +132,22 @@ pub fn inject_report(
 
     // Belief survival: re-run the annotation procedure over only the
     // steps whose messages were actually delivered in the faulted run.
-    let delivered = |to: &Principal, m: &Message| {
-        *to == Principal::environment()
-            || run.events().any(|(_, e)| {
-                e.actor == *to && matches!(&e.action, Action::Receive { message } if message == m)
-            })
-    };
-    let mut degraded = at.clone();
-    degraded.steps = at
-        .steps
-        .iter()
-        .filter(|s| match s {
-            AtStep::Send { to, message, .. } => delivered(to, message),
-            AtStep::NewKey { .. } => true,
-        })
-        .cloned()
-        .collect();
-    let sends = |steps: &[AtStep]| {
-        steps
-            .iter()
-            .filter(|s| matches!(s, AtStep::Send { .. }))
-            .count()
-    };
-    let dropped_steps = sends(&at.steps) - sends(&degraded.steps);
-    // The baseline and degraded analyses are independent; prove the
-    // pair concurrently when the pool has more than one worker.
-    let (at_job, degraded_job) = (at.clone(), degraded.clone());
-    let mut analyses = pool.run(vec![
-        Box::new(move || analyze_at(&at_job)) as Box<dyn FnOnce() -> _ + Send>,
-        Box::new(move || analyze_at(&degraded_job)),
-    ]);
-    let after = analyses.pop().expect("two analyses");
-    let baseline = analyses.pop().expect("two analyses");
+    let mask = delivery_mask(at, &run);
+    let mut verdicts = MaskVerdicts::new(at);
+    let all_kept = verdicts.all_kept();
+    verdicts.resolve([all_kept.as_slice(), mask.as_slice()], pool);
+    let (baseline, after) = (
+        verdicts.get(&all_kept).expect("resolved above"),
+        verdicts.get(&mask).expect("resolved above"),
+    );
+    let (sent, delivered) = (sends_kept(at, &all_kept), sends_kept(at, &mask));
+    let dropped_steps = sent - delivered;
     let _ = writeln!(
         out,
-        "beliefs: {} of {} idealized messages delivered",
-        sends(&degraded.steps),
-        sends(&at.steps)
+        "beliefs: {delivered} of {sent} idealized messages delivered"
     );
     let mut lost = 0;
-    for ((goal, base_ok), (_, now_ok)) in baseline.goals.iter().zip(&after.goals) {
+    for ((goal, base_ok), now_ok) in at.goals.iter().zip(baseline).zip(after) {
         let tag = match (base_ok, now_ok) {
             (true, true) => "survives",
             (true, false) => {
@@ -252,7 +229,7 @@ pub fn message_mentions_key(m: &Message, k: &Key) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atl_lang::Nonce;
+    use atl_lang::{Nonce, Principal};
 
     fn toy() -> AtProtocol {
         let a = Principal::new("A");

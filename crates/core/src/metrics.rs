@@ -229,16 +229,15 @@ impl ServeMetrics {
         &self.verbs[verb.index()]
     }
 
-    /// Records a connection entering the accept queue (gauge up, peak
-    /// tracked).
-    pub fn queue_entered(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
+    /// Records the accept queue's depth after a push or pop, and tracks
+    /// its peak. The queue calls this under its own lock with its exact
+    /// length, so the gauge is an observation, never a running sum: it
+    /// cannot wrap below zero, never exceeds the queue's capacity, and
+    /// reads zero whenever the queue is empty.
+    pub fn record_queue_depth(&self, depth: usize) {
+        let depth = depth as u64;
+        self.queue_depth.store(depth, Ordering::SeqCst);
         self.queue_depth_peak.fetch_max(depth, Ordering::SeqCst);
-    }
-
-    /// Records a connection leaving the accept queue.
-    pub fn queue_left(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Connections waiting in the accept queue right now.
@@ -252,7 +251,10 @@ impl ServeMetrics {
     }
 
     /// Records a worker picking up a connection (gauge up, peak
-    /// tracked).
+    /// tracked). Each worker brackets one connection with this and
+    /// [`worker_idle`](Self::worker_idle) on its own thread, so the
+    /// increment always precedes its decrement and the gauge can never
+    /// wrap.
     pub fn worker_busy(&self) {
         let busy = self.busy_workers.fetch_add(1, Ordering::SeqCst) + 1;
         self.busy_workers_peak.fetch_max(busy, Ordering::SeqCst);
@@ -509,9 +511,9 @@ mod tests {
     #[test]
     fn gauges_track_peaks() {
         let m = ServeMetrics::new();
-        m.queue_entered();
-        m.queue_entered();
-        m.queue_left();
+        m.record_queue_depth(1);
+        m.record_queue_depth(2);
+        m.record_queue_depth(1);
         assert_eq!(m.queue_depth(), 1);
         assert_eq!(m.queue_depth_peak(), 2);
         m.worker_busy();
@@ -531,7 +533,7 @@ mod tests {
         m.observe(Verb::Analyze, Duration::from_micros(7));
         m.observe(Verb::Analyze, Duration::from_micros(120));
         m.observe(Verb::Load, Duration::from_millis(900));
-        m.queue_entered();
+        m.record_queue_depth(1);
         m.rejected();
         let text = m.render(&[ExtraMetric {
             name: "atl_serve_sessions_live",

@@ -708,12 +708,65 @@ impl<'a> Semantics<'a> {
         phi: &Formula,
         pool: &Pool,
     ) -> Result<bool, SemanticsError> {
-        for r in Self::sweep_results(system, goods, phi, pool) {
-            if !r? {
-                return Ok(false);
+        Self::valid_all_on(system, goods, std::slice::from_ref(phi), pool).remove(0)
+    }
+
+    /// [`Semantics::valid_on`] for each of `phis` through one evaluator:
+    /// each formula's verdict or error is that of its earliest anomaly
+    /// (a false or failing point) in point order, as the sequential
+    /// `valid` gives it, but the evaluation cache is built, and with more
+    /// than one job prewarmed, once for all the formulas.
+    pub fn valid_all_on(
+        system: &'a System,
+        goods: &GoodRuns,
+        phis: &[Formula],
+        pool: &Pool,
+    ) -> Vec<Result<bool, SemanticsError>> {
+        let anomaly = |r: &Result<bool, SemanticsError>| !matches!(r, Ok(true));
+        if pool.jobs() == 1 {
+            let sem = Semantics::new(system, goods.clone());
+            return phis
+                .iter()
+                .map(|phi| {
+                    system
+                        .points()
+                        .map(|pt| sem.eval(pt, phi))
+                        .find(anomaly)
+                        .unwrap_or(Ok(true))
+                })
+                .collect();
+        }
+        // Each run reports every formula's earliest anomaly among its
+        // points; merged in run order, the first one is the formula's.
+        let warmed = EvalCache::prewarm_on(system, pool);
+        let runs: Vec<usize> = (0..system.len()).collect();
+        let per_run: Vec<Vec<Option<Result<bool, SemanticsError>>>> = pool.map_init(
+            &runs,
+            || Semantics::new_shared(system, goods.clone(), Rc::new(RefCell::new(warmed.clone()))),
+            |sem, _, &ri| {
+                let run = &system.runs()[ri];
+                phis.iter()
+                    .map(|phi| {
+                        run.times()
+                            .map(|k| sem.eval(Point::new(ri, k), phi))
+                            .find(anomaly)
+                    })
+                    .collect()
+            },
+        );
+        let mut verdicts: Vec<Option<Result<bool, SemanticsError>>> =
+            phis.iter().map(|_| None).collect();
+        for run in per_run {
+            for (verdict, found) in verdicts.iter_mut().zip(run) {
+                if verdict.is_none() {
+                    *verdict = found;
+                }
             }
         }
-        Ok(true)
+        verdicts
+            .into_iter()
+            .map(|v| v.unwrap_or(Ok(true)))
+            .collect()
     }
 
     /// Per-point evaluation outcomes in [`System::points`] order. With

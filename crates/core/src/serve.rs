@@ -420,6 +420,11 @@ impl Store {
 /// workers: plain `Mutex` + `Condvar`, mirroring
 /// `atl_model::parallel::Pool`'s hand-rolled discipline (no channels,
 /// poison tolerated).
+///
+/// Every push, pop and close records the new depth in the queue-depth
+/// gauge while still holding the lock, so the gauge is always the
+/// length of the queue as of its latest change: at most `capacity`,
+/// never negative, and zero at rest.
 struct AcceptQueue {
     capacity: usize,
     inner: Mutex<QueueInner>,
@@ -447,12 +452,13 @@ impl AcceptQueue {
 
     /// Enqueues an accepted connection, or hands it back when the queue
     /// is full (backpressure) or already closed (shutdown).
-    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
+    fn push(&self, stream: TcpStream, metrics: &ServeMetrics) -> Result<(), TcpStream> {
         let mut inner = self.lock();
         if inner.closed || inner.items.len() >= self.capacity {
             return Err(stream);
         }
         inner.items.push_back(stream);
+        metrics.record_queue_depth(inner.items.len());
         drop(inner);
         self.ready.notify_one();
         Ok(())
@@ -460,10 +466,11 @@ impl AcceptQueue {
 
     /// Blocks for the next queued connection; `None` once the queue is
     /// closed and drained, which is each worker's exit signal.
-    fn pop(&self) -> Option<TcpStream> {
+    fn pop(&self, metrics: &ServeMetrics) -> Option<TcpStream> {
         let mut inner = self.lock();
         loop {
             if let Some(stream) = inner.items.pop_front() {
+                metrics.record_queue_depth(inner.items.len());
                 return Some(stream);
             }
             if inner.closed {
@@ -478,10 +485,11 @@ impl AcceptQueue {
 
     /// Closes the queue, wakes every worker, and returns whatever was
     /// still waiting so the caller can refuse it with a framed error.
-    fn close(&self) -> Vec<TcpStream> {
+    fn close(&self, metrics: &ServeMetrics) -> Vec<TcpStream> {
         let mut inner = self.lock();
         inner.closed = true;
         let leftover: Vec<TcpStream> = inner.items.drain(..).collect();
+        metrics.record_queue_depth(0);
         drop(inner);
         self.ready.notify_all();
         leftover
@@ -659,15 +667,11 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                     refuse_shutting_down(state, stream);
                     break;
                 }
-                match state.queue.push(stream) {
-                    Ok(()) => state.metrics.queue_entered(),
-                    Err(stream) => {
-                        // Backpressure: the queue is full, answer fast
-                        // rather than piling up unbounded work.
-                        state.metrics.rejected();
-                        let mut w = stream;
-                        let _ = Response::err("busy").write_to(&mut w);
-                    }
+                if let Err(mut stream) = state.queue.push(stream, &state.metrics) {
+                    // Backpressure: the queue is full, answer fast
+                    // rather than piling up unbounded work.
+                    state.metrics.rejected();
+                    let _ = Response::err("busy").write_to(&mut stream);
                 }
             }
             Err(_) => {
@@ -679,8 +683,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
     }
     // Close the queue: workers exit once it drains, and connections
     // still queued get the same framed refusal as the race above.
-    for stream in state.queue.close() {
-        state.metrics.queue_left();
+    for stream in state.queue.close(&state.metrics) {
         refuse_shutting_down(state, stream);
     }
     // Drain: in-flight requests (including the SHUTDOWN response
@@ -697,8 +700,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
 /// busy/idle bracket makes `busy_workers_peak` the observable proof
 /// that concurrency never exceeds the configured pool width.
 fn worker_loop(state: &Arc<ServerState>) {
-    while let Some(stream) = state.queue.pop() {
-        state.metrics.queue_left();
+    while let Some(stream) = state.queue.pop(&state.metrics) {
         state.metrics.worker_busy();
         handle_connection(state, stream);
         state.metrics.worker_idle();
@@ -2591,6 +2593,70 @@ mod tests {
                 assert!(framed, "a racing client saw a silent drop");
             }
         }
+    }
+
+    #[test]
+    fn accept_queue_gauge_holds_its_invariants_under_contention() {
+        // Many pushers and poppers race on a small queue while a sampler
+        // scrapes the gauge. Invariants: depth never exceeds capacity
+        // (a wrapped gauge would read ~1.8e19), the peak stays within
+        // capacity, and the gauge is zero once the queue is at rest.
+        const CAPACITY: usize = 3;
+        const PUSHERS: usize = 6;
+        const PUSHES: usize = 300;
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let seed = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let queue = AcceptQueue::new(CAPACITY);
+        let metrics = ServeMetrics::new();
+        let done = AtomicBool::new(false);
+        let (queue, metrics, done, seed) = (&queue, &metrics, &done, &seed);
+        let (popped, refused) = std::thread::scope(|s| {
+            let poppers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(move || {
+                        let mut n = 0usize;
+                        while queue.pop(metrics).is_some() {
+                            n += 1;
+                        }
+                        n
+                    })
+                })
+                .collect();
+            let sampler = s.spawn(move || {
+                while !done.load(Ordering::SeqCst) {
+                    let depth = metrics.queue_depth();
+                    assert!(depth <= CAPACITY as u64, "gauge read {depth}");
+                }
+            });
+            let pushers: Vec<_> = (0..PUSHERS)
+                .map(|_| {
+                    s.spawn(move || {
+                        let mut refused = 0usize;
+                        for _ in 0..PUSHES {
+                            let stream = seed.try_clone().expect("clone stream");
+                            if queue.push(stream, metrics).is_err() {
+                                refused += 1;
+                            }
+                        }
+                        refused
+                    })
+                })
+                .collect();
+            let refused: usize = pushers.into_iter().map(|h| h.join().expect("pusher")).sum();
+            let leftover = queue.close(metrics).len();
+            let popped: usize = poppers.into_iter().map(|h| h.join().expect("popper")).sum();
+            done.store(true, Ordering::SeqCst);
+            sampler.join().expect("sampler");
+            (popped + leftover, refused)
+        });
+        assert_eq!(
+            popped + refused,
+            PUSHERS * PUSHES,
+            "every push accounted for"
+        );
+        assert_eq!(metrics.queue_depth(), 0, "zero at rest");
+        assert!(metrics.queue_depth_peak() <= CAPACITY as u64);
+        assert!(metrics.queue_depth_peak() >= 1);
     }
 
     #[test]

@@ -10,22 +10,25 @@
 //!    over the pool ([`sweep_plans_on`]), with an [`ExecutionCache`] so
 //!    overlapping grid points (and the inert baseline plan) run once;
 //! 2. each surviving run is projected back onto the idealized protocol
-//!    (which `→` steps were actually delivered) and re-annotated;
-//!    distinct plans with identical delivery patterns share one
-//!    annotation pass, and the passes are sharded across the same pool;
+//!    (which `→` steps were actually delivered) and its goals re-checked
+//!    through [`MaskVerdicts`]: distinct plans with identical delivery
+//!    patterns share one annotation pass, each pass is one delta
+//!    saturation of the assumptions' closure, and the passes are sharded
+//!    across the same pool;
 //! 3. the distinct faulted runs become a [`System`] fed to the
-//!    parallel good-run construction and [`Semantics::valid_on`] sweep,
-//!    so every goal also gets a *semantic* verdict over degraded
-//!    traffic.
+//!    parallel good-run construction and one [`Semantics::valid_all_on`]
+//!    sweep over every goal, so every goal also gets a *semantic* verdict
+//!    over degraded traffic.
 //!
 //! Every stage merges by index or first-occurrence order, so the
 //! rendered [`FaultSweepReport`] is byte-identical at every `--jobs`
 //! count — `tests/e16_sweep.rs` holds it to that.
 
-use crate::annotate::{analyze_at, AtProtocol, AtStep};
+use crate::annotate::{AtProtocol, AtStep};
 use crate::enact::{enact_with, EnactOptions};
 use crate::goodruns::{construct_on, InitialAssumptions};
 use crate::parallel::Pool;
+use crate::prover::{Prover, ProverConfig};
 use crate::semantics::{GoodRuns, Semantics};
 use atl_lang::{Formula, Message, Principal};
 use atl_model::{
@@ -220,6 +223,120 @@ pub fn degrade_at(at: &AtProtocol, mask: &[bool]) -> AtProtocol {
     degraded
 }
 
+/// How many of `at`'s idealized `→` steps `mask` keeps.
+pub(crate) fn sends_kept(at: &AtProtocol, mask: &[bool]) -> usize {
+    at.steps
+        .iter()
+        .zip(mask)
+        .filter(|(s, keep)| **keep && matches!(s, AtStep::Send { .. }))
+        .count()
+}
+
+/// Per-goal annotation verdicts of one protocol under delivery masks,
+/// each mask annotated at most once.
+///
+/// A mask's verdict is whether each goal holds in the final closure of
+/// the Section 4.3 procedure over the kept steps, i.e. of
+/// [`analyze_at`](crate::annotate::analyze_at) over [`degrade_at`]. That
+/// closure is cl(assumptions ∪ the kept steps' `sees`/`has` facts), a
+/// unique fixpoint however the facts arrive, so the assumptions are
+/// saturated once (lazily, on the first miss) and each missing mask
+/// costs one clone of that prover plus one [`Prover::saturate_delta`]
+/// over its kept steps' facts. Verdicts are memoized per mask, and a
+/// batch of missing masks is annotated over the pool.
+pub struct MaskVerdicts {
+    assumptions: Vec<Formula>,
+    /// The fact each step asserts, by step index.
+    step_facts: Vec<Formula>,
+    goals: Vec<Formula>,
+    /// The saturated closure of the assumptions, built on the first miss.
+    base: Option<Prover>,
+    memo: BTreeMap<Vec<bool>, Vec<bool>>,
+    passes: u64,
+}
+
+impl MaskVerdicts {
+    /// An empty memo for `at`.
+    pub fn new(at: &AtProtocol) -> Self {
+        MaskVerdicts {
+            assumptions: at.assumptions.clone(),
+            step_facts: at
+                .steps
+                .iter()
+                .map(|step| match step {
+                    AtStep::Send { to, message, .. } => Formula::sees(to.clone(), message.clone()),
+                    AtStep::NewKey { principal, key } => {
+                        Formula::has(principal.clone(), key.clone())
+                    }
+                })
+                .collect(),
+            goals: at.goals.clone(),
+            base: None,
+            memo: BTreeMap::new(),
+            passes: 0,
+        }
+    }
+
+    /// The mask keeping every step: its verdict is the baseline
+    /// annotation's, the goal flags of [`analyze_at`](crate::annotate::analyze_at)
+    /// over the whole protocol.
+    pub fn all_kept(&self) -> Vec<bool> {
+        vec![true; self.step_facts.len()]
+    }
+
+    /// Makes sure every mask of `masks` has its flags: memoized ones are
+    /// kept, and the rest are annotated over `pool`, in first-occurrence
+    /// order.
+    pub fn resolve<'m>(&mut self, masks: impl IntoIterator<Item = &'m [bool]>, pool: &Pool) {
+        let mut missing: Vec<Vec<bool>> = Vec::new();
+        for mask in masks {
+            if !self.memo.contains_key(mask) && !missing.iter().any(|m| m == mask) {
+                missing.push(mask.to_vec());
+            }
+        }
+        if missing.is_empty() {
+            return;
+        }
+        let assumptions = &self.assumptions;
+        let base = self.base.get_or_insert_with(|| {
+            let mut prover =
+                Prover::with_config(assumptions.iter().cloned(), ProverConfig::default());
+            prover.saturate();
+            prover
+        });
+        let (step_facts, goals) = (&self.step_facts, &self.goals);
+        let flags = pool.map(&missing, |_, mask| {
+            let mut prover = base.clone();
+            prover.saturate_delta(
+                step_facts
+                    .iter()
+                    .zip(mask)
+                    .filter(|(_, keep)| **keep)
+                    .map(|(fact, _)| fact.clone()),
+            );
+            goals.iter().map(|g| prover.holds(g)).collect::<Vec<bool>>()
+        });
+        self.passes += missing.len() as u64;
+        self.memo.extend(missing.into_iter().zip(flags));
+    }
+
+    /// The flags of a [resolved](Self::resolve) mask, one per goal.
+    pub fn get(&self, mask: &[bool]) -> Option<&[bool]> {
+        self.memo.get(mask).map(Vec::as_slice)
+    }
+
+    /// The flags of `mask`, resolving it on this thread if needed.
+    pub fn flags(&mut self, mask: &[bool]) -> &[bool] {
+        self.resolve([mask], &Pool::sequential());
+        self.get(mask).expect("resolved above")
+    }
+
+    /// How many masks were annotated: one delta saturation each.
+    pub fn passes(&self) -> u64 {
+        self.passes
+    }
+}
+
 /// The belief-shaped assumptions of `at`, as the initial-assumption
 /// vector the Section 7 good-run construction expects.
 pub(crate) fn belief_assumptions(at: &AtProtocol) -> InitialAssumptions {
@@ -261,59 +378,33 @@ pub fn fault_sweep_with_cache(
 /// same annotation/semantics/rendering path as a local sweep.
 pub fn survival_report(at: &AtProtocol, outcome: SweepOutcome, pool: &Pool) -> FaultSweepReport {
     // One annotation pass per distinct delivery mask (many plans resolve
-    // to the same delivered-step pattern), sharded over the pool
-    // together with the baseline. Masks are keyed first-occurrence, so
-    // job order — and with it the merged result order — is grid order.
+    // to the same delivered-step pattern), the baseline's all-kept mask
+    // first and then grid order.
     let masks: Vec<Option<Vec<bool>>> = outcome
         .results
         .iter()
         .map(|r| r.ok().map(|(run, _)| delivery_mask(at, run)))
         .collect();
-    let mut mask_slot: BTreeMap<&[bool], usize> = BTreeMap::new();
-    let mut jobs: Vec<Vec<bool>> = Vec::new();
-    for mask in masks.iter().flatten() {
-        if !mask_slot.contains_key(mask.as_slice()) {
-            mask_slot.insert(mask, jobs.len());
-            jobs.push(mask.clone());
-        }
-    }
-    let goal_flags: Vec<Vec<bool>> = {
-        let tasks: Vec<Box<dyn FnOnce() -> Vec<bool> + Send>> = std::iter::once(None)
-            .chain(jobs.iter().map(Some))
-            .map(|mask| {
-                let degraded = match mask {
-                    None => at.clone(),
-                    Some(mask) => degrade_at(at, mask),
-                };
-                Box::new(move || {
-                    analyze_at(&degraded)
-                        .goals
-                        .iter()
-                        .map(|(_, ok)| *ok)
-                        .collect::<Vec<bool>>()
-                }) as Box<dyn FnOnce() -> Vec<bool> + Send>
-            })
-            .collect();
-        pool.run(tasks)
-    };
-    let (baseline_flags, mask_flags) = goal_flags.split_first().expect("baseline job present");
+    let mut verdicts = MaskVerdicts::new(at);
+    let all_kept = verdicts.all_kept();
+    verdicts.resolve(
+        std::iter::once(all_kept.as_slice()).chain(masks.iter().flatten().map(Vec::as_slice)),
+        pool,
+    );
+    let baseline_flags = verdicts.get(&all_kept).expect("resolved above");
 
     // Per-plan verdicts in grid order.
-    let total_sends = at
-        .steps
-        .iter()
-        .filter(|s| matches!(s, AtStep::Send { .. }))
-        .count();
+    let total_sends = sends_kept(at, &all_kept);
     let mut survived = vec![0usize; at.goals.len()];
     let mut lost = vec![0usize; at.goals.len()];
-    let verdicts: Vec<(FaultPlan, PlanVerdict)> = outcome
+    let plan_verdicts: Vec<(FaultPlan, PlanVerdict)> = outcome
         .results
         .iter()
         .zip(&masks)
         .map(|(r, mask)| {
             let verdict = match (r.ok(), mask) {
                 (Some((_, report)), Some(mask)) => {
-                    let flags = &mask_flags[mask_slot[mask.as_slice()]];
+                    let flags = verdicts.get(mask).expect("resolved above");
                     let mut beliefs_lost = 0;
                     for (g, (base, now)) in baseline_flags.iter().zip(flags).enumerate() {
                         if *base && *now {
@@ -327,11 +418,7 @@ pub fn survival_report(at: &AtProtocol, outcome: SweepOutcome, pool: &Pool) -> F
                         degraded: report.degraded(),
                         faults: report.faults.len(),
                         abandoned: report.abandoned.len(),
-                        delivered: mask
-                            .iter()
-                            .zip(&at.steps)
-                            .filter(|(keep, s)| **keep && matches!(s, AtStep::Send { .. }))
-                            .count(),
+                        delivered: sends_kept(at, mask),
                         beliefs_lost,
                     }
                 }
@@ -345,48 +432,48 @@ pub fn survival_report(at: &AtProtocol, outcome: SweepOutcome, pool: &Pool) -> F
         .collect();
 
     // The semantic stage: distinct faulted runs, audited, then good-run
-    // construction and a validity sweep per goal — all over the pool.
+    // construction and one validity sweep over every goal — all over the
+    // pool.
     let system = outcome.system();
     let audit_violations = pool
         .map(system.runs(), |_, run| validate_run(run).len())
         .into_iter()
         .filter(|n| *n > 0)
         .count();
-    let goods = if system.is_empty() {
-        None
+    let semantic: Vec<String> = if system.is_empty() {
+        vec!["no runs".to_string(); at.goals.len()]
     } else {
-        Some(match construct_on(&system, &belief_assumptions(at), pool) {
+        let goods = match construct_on(&system, &belief_assumptions(at), pool) {
             Ok((g, _)) => g,
             Err(_) => GoodRuns::all_runs(&system),
-        })
-    };
-    let semantic_of = |goal: &Formula| -> String {
-        let Some(goods) = &goods else {
-            return "no runs".to_string();
         };
-        match Semantics::valid_on(&system, goods, goal, pool) {
-            Ok(true) => "valid".to_string(),
-            Ok(false) => "fails".to_string(),
-            Err(e) => format!("error: {e}"),
-        }
+        Semantics::valid_all_on(&system, &goods, &at.goals, pool)
+            .into_iter()
+            .map(|verdict| match verdict {
+                Ok(true) => "valid".to_string(),
+                Ok(false) => "fails".to_string(),
+                Err(e) => format!("error: {e}"),
+            })
+            .collect()
     };
     let survival: Vec<GoalSurvival> = at
         .goals
         .iter()
+        .zip(semantic)
         .enumerate()
-        .map(|(g, goal)| GoalSurvival {
+        .map(|(g, (goal, semantic))| GoalSurvival {
             goal: goal.clone(),
             baseline: baseline_flags[g],
             survived: survived[g],
             lost: lost[g],
-            semantic: semantic_of(goal),
+            semantic,
         })
         .collect();
 
     FaultSweepReport {
         protocol: at.name.clone(),
         stats: outcome.stats,
-        verdicts,
+        verdicts: plan_verdicts,
         survival,
         total_sends,
         distinct_runs: system.len(),

@@ -395,9 +395,10 @@ pub struct MonitorCheckpoint {
     pub lines: Vec<String>,
 }
 
-/// FNV-1a over `data` (the checksum the outcome store uses; duplicated
-/// here because the store's copy is private to another crate).
-pub(crate) fn fnv64(data: &[u8]) -> u64 {
+/// FNV-1a 64 over `data`: the checksum guarding every persisted frame
+/// (outcome-store entries, hunt corpora, monitor checkpoints) against
+/// truncation and bit rot.
+pub fn fnv64(data: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in data {
         hash ^= u64::from(byte);
