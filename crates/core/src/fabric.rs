@@ -8,11 +8,11 @@
 //!
 //! - [`OutcomeStore`] — a persistent, content-addressed, crash-safe
 //!   store of execution outcomes keyed by `(context digest, plan
-//!   fingerprint)`. Writes are atomic (temp file + rename), loads verify
-//!   a length + checksum frame and re-parse the payload, and anything
-//!   truncated, bit-flipped, or mislabeled is discarded and recomputed
-//!   rather than trusted. A coordinator killed mid-sweep therefore
-//!   resumes from whatever outcomes it had committed.
+//!   fingerprint)`, one [`atl_model::store`] frame per outcome: writes
+//!   are atomic, loads verify the frame and re-parse the payload, and
+//!   anything truncated, bit-flipped, or mislabeled is discarded and
+//!   recomputed rather than trusted. A coordinator killed mid-sweep
+//!   therefore resumes from whatever outcomes it had committed.
 //! - [`FabricConfig`] / [`FabricStats`] — knobs (shard size, per-shard
 //!   deadline, bounded retries with exponential backoff, per-worker
 //!   failure budget) and accounting for where each outcome came from.
@@ -37,7 +37,8 @@ use crate::enact::{enact_with, EnactOptions};
 use crate::parallel::Pool;
 use crate::serve::{render_exec_options, render_policy, Client, MAX_REQUEST_BYTES};
 use crate::sweep::{survival_report, FaultSweepReport, SweepConfig};
-use atl_model::wire::{fnv64, parse_outcome, render_outcome, render_plan};
+use atl_model::store::FrameStore;
+use atl_model::wire::{parse_outcome, render_outcome, render_plan};
 use atl_model::{
     execute_with_faults, sweep_plans_resolve, ExecOutcome, ExecutionCache, FaultPlan,
     PlanFingerprint, Protocol,
@@ -54,8 +55,12 @@ use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// A persistent on-disk store of execution outcomes, one file per
-/// `(context digest, plan fingerprint)` key.
+/// The header of an outcome-store frame.
+const OUTCOME_HEADER: &str = "atl-outcome v1";
+
+/// A persistent on-disk store of execution outcomes, one
+/// [`atl_model::store`] frame per `(context digest, plan fingerprint)`
+/// key.
 ///
 /// Layout: `<dir>/<context:016x>-<fingerprint digest:016x>.outcome`,
 /// each file framed as
@@ -69,16 +74,10 @@ use std::time::Duration;
 ///
 /// The full fingerprint rendering in the `key` line disambiguates any
 /// (astronomically unlikely) digest collision and catches entries
-/// renamed onto the wrong key. Saves go through a uniquely named temp
-/// file in the same directory and a `rename`, so concurrent writers and
-/// killed processes leave either the old entry, the new entry, or
-/// nothing — never a torn file at the final path. Loads verify the
-/// header, the key, the exact length, the checksum, and a full reparse;
-/// any failure deletes the entry and reports a miss, so corruption
-/// costs one recomputation, never a wrong answer.
+/// renamed onto the wrong key. Loads verify the frame and fully reparse
+/// the body; any failure deletes the entry and reports a miss.
 pub struct OutcomeStore {
-    dir: PathBuf,
-    tmp_counter: AtomicU64,
+    frames: FrameStore,
 }
 
 impl OutcomeStore {
@@ -88,57 +87,34 @@ impl OutcomeStore {
     ///
     /// Any [`io::Error`] from `create_dir_all`.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<OutcomeStore> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
         Ok(OutcomeStore {
-            dir,
-            tmp_counter: AtomicU64::new(0),
+            frames: FrameStore::open(dir)?,
         })
     }
 
+    fn name(context: u64, fp: &PlanFingerprint) -> String {
+        format!("{context:016x}-{:016x}.outcome", fp.digest())
+    }
+
+    fn key(context: u64, fp: &PlanFingerprint) -> String {
+        format!("{context:016x} {}", fp.wire())
+    }
+
+    #[cfg(test)]
     fn entry_path(&self, context: u64, fp: &PlanFingerprint) -> PathBuf {
-        self.dir
-            .join(format!("{context:016x}-{:016x}.outcome", fp.digest()))
+        self.frames.path(&Self::name(context, fp))
     }
 
     /// Loads the outcome stored under `(context, fp)`, or `None` on a
     /// miss. A present-but-invalid entry (truncated, bit-flipped, or
     /// keyed to something else) is removed and reported as a miss.
     pub fn load(&self, context: u64, fp: &PlanFingerprint) -> Option<ExecOutcome> {
-        let path = self.entry_path(context, fp);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match Self::decode(&text, context, fp) {
-            Some(outcome) => Some(outcome),
-            None => {
-                let _ = std::fs::remove_file(&path);
-                None
-            }
-        }
-    }
-
-    fn decode(text: &str, context: u64, fp: &PlanFingerprint) -> Option<ExecOutcome> {
-        let rest = text.strip_prefix("atl-outcome v1\n")?;
-        let (key_line, rest) = rest.split_once('\n')?;
-        if key_line != format!("key {context:016x} {}", fp.wire()) {
-            return None;
-        }
-        let (frame, body) = rest.split_once('\n')?;
-        let mut parts = frame.split_whitespace();
-        let (Some("len"), Some(len), Some("sum"), Some(sum), None) = (
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-        ) else {
-            return None;
-        };
-        let len: usize = len.parse().ok()?;
-        let sum = u64::from_str_radix(sum, 16).ok()?;
-        if body.len() != len || fnv64(body.as_bytes()) != sum {
-            return None;
-        }
-        parse_outcome(body).ok()
+        self.frames.read(
+            &Self::name(context, fp),
+            OUTCOME_HEADER,
+            &Self::key(context, fp),
+            |body| parse_outcome(body).ok(),
+        )
     }
 
     /// Atomically persists `outcome` under `(context, fp)`. Concurrent
@@ -154,32 +130,17 @@ impl OutcomeStore {
         fp: &PlanFingerprint,
         outcome: &ExecOutcome,
     ) -> io::Result<()> {
-        let body = render_outcome(outcome);
-        let content = format!(
-            "atl-outcome v1\nkey {context:016x} {}\nlen {} sum {:016x}\n{body}",
-            fp.wire(),
-            body.len(),
-            fnv64(body.as_bytes())
-        );
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, &content)?;
-        std::fs::rename(&tmp, self.entry_path(context, fp))
+        self.frames.write(
+            &Self::name(context, fp),
+            OUTCOME_HEADER,
+            &Self::key(context, fp),
+            &render_outcome(outcome),
+        )
     }
 
     /// How many committed entries the store holds (temp files excluded).
     pub fn len(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|entries| {
-                entries
-                    .flatten()
-                    .filter(|e| e.path().extension().is_some_and(|ext| ext == "outcome"))
-                    .count()
-            })
-            .unwrap_or(0)
+        self.frames.list("", ".outcome").len()
     }
 
     /// True if the store holds no committed entries.

@@ -59,6 +59,10 @@
 //!                                  coverage-guided attack search over the
 //!                                  session's fault-plan space, bytes of
 //!                                  `atl hunt` (see `crate::hunt`)
+//! MONITOR <phi>[;<phi>...]         open a streaming monitor watching the
+//!                                  formulas (see `crate::monitor`)
+//! EVENT <monitor-id> <trace line>  feed one trace line to a monitor; its
+//!                                  verdict lines, bytes of `atl monitor`
 //! STATS                            session/cache counters (fixed 11-line text)
 //! METRICS                          Prometheus-style text exposition
 //!                                  (crate::metrics): per-verb latency
@@ -73,6 +77,13 @@
 //! response carries each outcome keyed by its fingerprint digest —
 //! `outcome <i> fp=<16 hex> lines=<n>` followed by `n` lines of
 //! [`atl_model::wire::render_outcome`].
+//!
+//! `MONITOR`/`EVENT` sessions live beside the spec sessions. With
+//! [`ServeConfig::monitor_store`] set, each `EVENT` checkpoints its
+//! monitor as one [`atl_model::store`] frame (`monitor-<id>`) while the
+//! monitor's lock is still held, so the file always holds the last
+//! acknowledged state, and [`Server::start`] resumes every checkpoint it
+//! finds there.
 //!
 //! # Incremental reload
 //!
@@ -123,7 +134,10 @@ use crate::spec::{canonicalize_spec, parse_spec, SpecDiff};
 use crate::sweep::belief_assumptions;
 use atl_lang::parser::{parse_formula, Symbols};
 use atl_lang::Key;
-use atl_model::wire::{parse_checkpoint, parse_plan_list, render_checkpoint, render_outcome};
+use atl_model::store::FrameStore;
+use atl_model::wire::{
+    checkpoint_body, parse_checkpoint_body, parse_plan_list, render_outcome, CHECKPOINT_HEADER,
+};
 use atl_model::{
     execute_with_faults, sweep_plans_on, ExecOptions, ExecutionCache, ExpectPolicy, FaultPlan,
     HuntConfig, OnTimeout, Point, Protocol, System,
@@ -135,7 +149,7 @@ use std::hash::{Hash, Hasher};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -520,7 +534,7 @@ struct ServerState {
     /// store: `RELOAD` never touches them.
     monitors: Mutex<Monitors>,
     /// Where monitor checkpoints persist (`None` = in-memory only).
-    monitor_store: Option<PathBuf>,
+    monitor_store: Option<FrameStore>,
 }
 
 #[derive(Default)]
@@ -594,11 +608,10 @@ impl Server {
             metrics: ServeMetrics::new(),
             store: Mutex::new(Store::default()),
             monitors: Mutex::new(Monitors::default()),
-            monitor_store: config.monitor_store.clone(),
+            monitor_store: config.monitor_store.map(FrameStore::open).transpose()?,
         });
-        if let Some(dir) = &state.monitor_store {
-            std::fs::create_dir_all(dir)?;
-            resume_monitors(&state, dir);
+        if let Some(store) = &state.monitor_store {
+            resume_monitors(&state, store);
         }
         // The fixed connection workers. Handles are dropped: workers
         // exit on their own once the queue closes, and a worker blocked
@@ -912,34 +925,7 @@ fn cmd_load(state: &Arc<ServerState>, path: &str) -> Response {
         Ok(ok) => ok,
         Err(e) => return Response::err(e.diagnostic(path)),
     };
-    let resume = analyze_at_resumable(&at);
-    let analysis_text = resume.render(&at);
-    let proto = enact(&at);
-    let (system, no_system) =
-        match execute_with_faults(&proto, &ExecOptions::default(), &FaultPlan::new(0)) {
-            Ok((run, _)) => (Some(System::new([run])), String::new()),
-            Err(e) => (None, e.to_string()),
-        };
-    let (goods, checkpoint, warmed) = match &system {
-        Some(sys) => {
-            let warmed = EvalCache::prewarm_on(sys, &state.pool);
-            let (goods, checkpoint) = match construct_checkpointed_with(
-                sys,
-                &belief_assumptions(&at),
-                &state.pool,
-                &warmed,
-            ) {
-                Ok((g, _, ckpt)) => (g, Some(ckpt)),
-                Err(_) => (GoodRuns::all_runs(sys), None),
-            };
-            (goods, checkpoint, warmed)
-        }
-        None => (
-            GoodRuns::all_runs(&System::new(Vec::<atl_model::Run>::new())),
-            None,
-            EvalCache::default(),
-        ),
-    };
+    let (mut session, _) = build_session(&state.pool, digest, at, syms, None);
 
     let mut store = state.store();
     // Re-check: another connection may have inserted this digest while
@@ -954,23 +940,8 @@ fn cmd_load(state: &Arc<ServerState>, path: &str) -> Response {
     store.stats.parsed += 1;
     store.next_id += 1;
     let id = store.next_id;
-    let session = Arc::new(Session {
-        id,
-        digest,
-        parent: None,
-        at,
-        syms,
-        resume: Mutex::new(Some(resume)),
-        analysis_text,
-        proto,
-        system,
-        no_system,
-        goods,
-        checkpoint,
-        warmed,
-        eval_memo: Mutex::new(HashMap::new()),
-        inject_memo: Mutex::new(HashMap::new()),
-    });
+    session.id = id;
+    let session = Arc::new(session);
     store.by_digest.insert(digest, id);
     store.sessions.insert(id, Arc::clone(&session));
     store.touch(id);
@@ -988,14 +959,184 @@ fn cmd_load(state: &Arc<ServerState>, path: &str) -> Response {
     Response::from_text(&session.load_line())
 }
 
+/// What a session build took over from the session it replaces.
+#[derive(Default)]
+struct Reuse {
+    analysis: bool,
+    system: bool,
+    stages: usize,
+    rewarm: RewarmStats,
+}
+
+/// Builds the session for a parsed spec, outside any lock. With no
+/// `prior`, every stage is computed, as `LOAD` does. With the session a
+/// `RELOAD` replaces and the diff against it, every stage whose inputs
+/// the edit left untouched is reused: the analysis closure (advanced in
+/// place via [`AnalysisResume`] when assumptions were only added), the
+/// executed system (kept when the enacted protocol is equal), the
+/// Section 7 construction (stage checkpoint resume), and the evaluation
+/// cache (pointwise rewarm). The session takes the prior's id (`LOAD`
+/// assigns one after the build) and records its digest as the parent.
+fn build_session(
+    pool: &Pool,
+    digest: u64,
+    at: AtProtocol,
+    syms: Symbols,
+    prior: Option<(&Session, &SpecDiff)>,
+) -> (Session, Reuse) {
+    let old = prior.map(|(old, _)| old);
+    let mut reuse = Reuse::default();
+
+    // Analysis: take the retiring session's resume and advance it in
+    // place — identical protocol ⇒ as-is; assumptions only added (or a
+    // goal-only edit) ⇒ one delta saturation per level; otherwise, or
+    // when a concurrent reload already claimed the resume, analyze
+    // cold. `AnalysisResume::advance` requires unchanged steps, which
+    // `analysis_resumable` guarantees.
+    let taken = old.and_then(|old| {
+        old.resume
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+    });
+    let resume = match (prior, taken) {
+        (Some((old, _)), Some(r)) if at == old.at => {
+            reuse.analysis = true;
+            r
+        }
+        (Some((_, diff)), Some(mut r)) => match diff.analysis_resumable() {
+            Some(added) => {
+                r.advance(&at, added);
+                reuse.analysis = true;
+                r
+            }
+            None => analyze_at_resumable(&at),
+        },
+        _ => analyze_at_resumable(&at),
+    };
+    let analysis_text = resume.render(&at);
+
+    // Execution: `enact` ignores goals and belief assumptions, so any
+    // edit that leaves the enacted protocol equal keeps the system (and
+    // the executor-visible digest for the global execution cache).
+    let proto = enact(&at);
+    let kept = old.filter(|old| old.proto == proto);
+    reuse.system = kept.is_some();
+    let (system, no_system) = match kept {
+        Some(old) => (old.system.clone(), old.no_system.clone()),
+        None => match execute_with_faults(&proto, &ExecOptions::default(), &FaultPlan::new(0)) {
+            Ok((run, _)) => (Some(System::new([run])), String::new()),
+            Err(e) => (None, e.to_string()),
+        },
+    };
+
+    // Evaluation cache: reuse wholesale with the system, rewarm
+    // pointwise against the old snapshot when the system changed, or
+    // prewarm cold when there is nothing to diff against.
+    let (warmed, rewarm) = match (&system, kept, old) {
+        (None, _, _) => (EvalCache::default(), RewarmStats::default()),
+        (Some(_), Some(old), _) => {
+            let total = old.warmed.entry_count();
+            (
+                old.warmed.clone(),
+                RewarmStats {
+                    reused: total,
+                    total,
+                },
+            )
+        }
+        (
+            Some(sys),
+            None,
+            Some(Session {
+                system: Some(old_sys),
+                warmed: old_warmed,
+                ..
+            }),
+        ) => EvalCache::prewarm_delta_on(sys, old_sys, old_warmed, pool),
+        (Some(sys), None, _) => {
+            let warmed = EvalCache::prewarm_on(sys, pool);
+            let total = warmed.entry_count();
+            (warmed, RewarmStats { reused: 0, total })
+        }
+    };
+    reuse.rewarm = rewarm;
+
+    // Good-run construction: clone when nothing it depends on moved,
+    // resume from the stage checkpoint when only the belief assumptions
+    // moved, build otherwise (always over the freshly warmed cache).
+    let beliefs = belief_assumptions(&at);
+    let (goods, checkpoint) = match (&system, kept) {
+        (None, _) => (
+            GoodRuns::all_runs(&System::new(Vec::<atl_model::Run>::new())),
+            None,
+        ),
+        (Some(_), Some(old)) if beliefs == belief_assumptions(&old.at) => {
+            reuse.stages = old
+                .checkpoint
+                .as_ref()
+                .map_or(0, ConstructionCheckpoint::stages);
+            (old.goods.clone(), old.checkpoint.clone())
+        }
+        (
+            Some(sys),
+            Some(Session {
+                checkpoint: Some(prior),
+                ..
+            }),
+        ) => match resume_construct_with(sys, &beliefs, prior, pool, &warmed) {
+            Ok((g, _, ckpt, reused)) => {
+                reuse.stages = reused;
+                (g, Some(ckpt))
+            }
+            Err(_) => (GoodRuns::all_runs(sys), None),
+        },
+        (Some(sys), _) => match construct_checkpointed_with(sys, &beliefs, pool, &warmed) {
+            Ok((g, _, ckpt)) => (g, Some(ckpt)),
+            Err(_) => (GoodRuns::all_runs(sys), None),
+        },
+    };
+
+    // Response memos answer over (system, goods, symbols) for EVAL and
+    // over the full protocol text for INJECT — carry each across only
+    // when its inputs are bytewise stable.
+    let memo = |m: &Mutex<HashMap<String, Response>>| {
+        m.lock().unwrap_or_else(PoisonError::into_inner).clone()
+    };
+    let eval_memo = match kept {
+        Some(old) if syms == old.syms && goods == old.goods => memo(&old.eval_memo),
+        _ => HashMap::new(),
+    };
+    let inject_memo = match old {
+        Some(old) if at == old.at => memo(&old.inject_memo),
+        _ => HashMap::new(),
+    };
+
+    let session = Session {
+        id: old.map_or(0, |old| old.id),
+        digest,
+        parent: old.map(|old| old.digest),
+        at,
+        syms,
+        resume: Mutex::new(Some(resume)),
+        analysis_text,
+        proto,
+        system,
+        no_system,
+        goods,
+        checkpoint,
+        warmed,
+        eval_memo: Mutex::new(eval_memo),
+        inject_memo: Mutex::new(inject_memo),
+    };
+    (session, reuse)
+}
+
 /// `RELOAD <session-id> <spec-path>`: re-point a live session at an
 /// edited spec, structurally diffing the new parse against the old one
-/// and reusing every artifact whose inputs are untouched — the analysis
-/// closure (advanced in place via [`AnalysisResume`] when assumptions
-/// were only added), the executed system (kept when the enacted protocol is
-/// equal), the Section 7 construction (stage checkpoint resume), and the
-/// evaluation cache (pointwise rewarm). The rebuilt session keeps its id
-/// and records the old digest as its parent.
+/// and rebuilding it with [`build_session`], which reuses every artifact
+/// whose inputs are untouched. The rebuilt session keeps its id and
+/// records the old digest as its parent.
 fn cmd_reload(state: &Arc<ServerState>, rest: &str) -> Response {
     let Some((id_text, path)) = rest.split_once(char::is_whitespace) else {
         return Response::err("RELOAD takes <session-id> <spec-path>");
@@ -1029,168 +1170,29 @@ fn cmd_reload(state: &Arc<ServerState>, rest: &str) -> Response {
         Err(e) => return Response::err(e.diagnostic(path)),
     };
     let diff = SpecDiff::classify(&old.at, &old.syms, &at, &syms);
-
-    // Analysis: take the retiring session's resume and advance it in
-    // place — identical protocol ⇒ as-is; assumptions only added (or a
-    // goal-only edit) ⇒ one delta saturation per level; otherwise, or
-    // when a concurrent reload already claimed the resume, re-analyze
-    // cold. `AnalysisResume::advance` requires unchanged steps, which
-    // `analysis_resumable` guarantees.
-    let taken = old
-        .resume
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take();
-    let (resume, analysis_reused) = if at == old.at {
-        match taken {
-            Some(r) => (r, true),
-            None => (analyze_at_resumable(&at), false),
-        }
-    } else {
-        match (diff.analysis_resumable(), taken) {
-            (Some(added), Some(mut r)) => {
-                r.advance(&at, added);
-                (r, true)
-            }
-            _ => (analyze_at_resumable(&at), false),
-        }
-    };
-    let analysis_text = resume.render(&at);
-
-    // Execution: `enact` ignores goals and belief assumptions, so any
-    // edit that leaves the enacted protocol equal keeps the system (and
-    // the executor-visible digest for the global execution cache).
-    let proto = enact(&at);
-    let system_reused = proto == old.proto;
-    let (system, no_system) = if system_reused {
-        (old.system.clone(), old.no_system.clone())
-    } else {
-        match execute_with_faults(&proto, &ExecOptions::default(), &FaultPlan::new(0)) {
-            Ok((run, _)) => (Some(System::new([run])), String::new()),
-            Err(e) => (None, e.to_string()),
-        }
-    };
-
-    // Evaluation cache: reuse wholesale with the system, rewarm
-    // pointwise against the old snapshot when the system changed, or
-    // prewarm cold when there was nothing to diff against.
-    let (warmed, rewarm) = match (&system, system_reused, &old.system) {
-        (Some(_), true, _) => {
-            let total = old.warmed.entry_count();
-            (
-                old.warmed.clone(),
-                RewarmStats {
-                    reused: total,
-                    total,
-                },
-            )
-        }
-        (Some(sys), false, Some(old_sys)) => {
-            EvalCache::prewarm_delta_on(sys, old_sys, &old.warmed, &state.pool)
-        }
-        (Some(sys), false, None) => {
-            let warmed = EvalCache::prewarm_on(sys, &state.pool);
-            let total = warmed.entry_count();
-            (warmed, RewarmStats { reused: 0, total })
-        }
-        (None, _, _) => (EvalCache::default(), RewarmStats::default()),
-    };
-
-    // Good-run construction: clone when nothing it depends on moved,
-    // resume from the stage checkpoint when only the belief assumptions
-    // moved, rebuild otherwise (always over the freshly warmed cache).
-    let beliefs = belief_assumptions(&at);
-    let mut stages_reused = 0usize;
-    let (goods, checkpoint) = match &system {
-        Some(sys) => {
-            if system_reused && beliefs == belief_assumptions(&old.at) {
-                stages_reused = old
-                    .checkpoint
-                    .as_ref()
-                    .map_or(0, ConstructionCheckpoint::stages);
-                (old.goods.clone(), old.checkpoint.clone())
-            } else if system_reused && old.checkpoint.is_some() {
-                let prior = old.checkpoint.clone().unwrap_or_default();
-                match resume_construct_with(sys, &beliefs, &prior, &state.pool, &warmed) {
-                    Ok((g, _, ckpt, reused)) => {
-                        stages_reused = reused;
-                        (g, Some(ckpt))
-                    }
-                    Err(_) => (GoodRuns::all_runs(sys), None),
-                }
-            } else {
-                match construct_checkpointed_with(sys, &beliefs, &state.pool, &warmed) {
-                    Ok((g, _, ckpt)) => (g, Some(ckpt)),
-                    Err(_) => (GoodRuns::all_runs(sys), None),
-                }
-            }
-        }
-        None => (
-            GoodRuns::all_runs(&System::new(Vec::<atl_model::Run>::new())),
-            None,
-        ),
-    };
-
-    // Response memos answer over (system, goods, symbols) for EVAL and
-    // over the full protocol text for INJECT — carry each across only
-    // when its inputs are bytewise stable.
-    let eval_memo = if system_reused && syms == old.syms && goods == old.goods {
-        old.eval_memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    } else {
-        HashMap::new()
-    };
-    let inject_memo = if at == old.at {
-        old.inject_memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    } else {
-        HashMap::new()
-    };
-
-    let delta = analysis_reused || system_reused || stages_reused > 0 || rewarm.reused > 0;
+    let (session, reuse) = build_session(&state.pool, digest, at, syms, Some((&old, &diff)));
+    let session = Arc::new(session);
     let summary = format!(
         "reload {}: analysis {}, system {}, stages reused {}, cache points reused {}/{}",
         diff.kind(),
-        if analysis_reused {
+        if reuse.analysis {
             "reused"
         } else {
             "recomputed"
         },
-        if system_reused {
+        if reuse.system {
             "reused"
         } else {
             "re-executed"
         },
-        stages_reused,
-        rewarm.reused,
-        rewarm.total,
+        reuse.stages,
+        reuse.rewarm.reused,
+        reuse.rewarm.total,
     );
-
-    let session = Arc::new(Session {
-        id: old.id,
-        digest,
-        parent: Some(old.digest),
-        at,
-        syms,
-        resume: Mutex::new(Some(resume)),
-        analysis_text,
-        proto,
-        system,
-        no_system,
-        goods,
-        checkpoint,
-        warmed,
-        eval_memo: Mutex::new(eval_memo),
-        inject_memo: Mutex::new(inject_memo),
-    });
 
     let mut store = state.store();
     store.stats.reloads += 1;
-    if delta {
+    if reuse.analysis || reuse.system || reuse.stages > 0 || reuse.rewarm.reused > 0 {
         store.stats.reload_delta += 1;
     } else {
         store.stats.reload_full += 1;
@@ -1690,10 +1692,14 @@ fn cmd_monitor(state: &Arc<ServerState>, rest: &str) -> Response {
         Err(e) => return Response::err(e.diagnostic("monitor")),
     };
     let count = monitor.formula_count();
-    let monitor = Arc::new(Mutex::new(monitor));
-    state.monitors().sessions.insert(id, Arc::clone(&monitor));
-    state.store().stats.monitors += 1;
+    // Checkpointed before any EVENT can reach it, so no later
+    // checkpoint of this monitor is ever overwritten by this one.
     persist_monitor(state, id, &monitor);
+    state
+        .monitors()
+        .sessions
+        .insert(id, Arc::new(Mutex::new(monitor)));
+    state.store().stats.monitors += 1;
     Response::from_text(&format!("monitor {id}: watching {count} formula(s)"))
 }
 
@@ -1719,13 +1725,16 @@ fn cmd_event(state: &Arc<ServerState>, rest: &str) -> Response {
     let before = guard.stats();
     let outcome = guard.feed_line(line, &state.pool);
     let after = guard.stats();
+    // Checkpointed under the monitor's lock, so checkpoints land in the
+    // order events were acknowledged and the file always holds the
+    // latest one.
+    if outcome.is_ok() {
+        persist_monitor(state, id, &guard);
+    }
     drop(guard);
     record_monitor_delta(state, before, after);
     match outcome {
-        Ok(lines) => {
-            persist_monitor(state, id, &monitor);
-            Response { ok: true, lines }
-        }
+        Ok(lines) => Response { ok: true, lines },
         Err(e) => Response::err(e.diagnostic("event")),
     }
 }
@@ -1740,60 +1749,43 @@ fn record_monitor_delta(state: &Arc<ServerState>, before: MonitorStats, after: M
     store.stats.monitor_full += (after.full_saturations - before.full_saturations) as u64;
 }
 
-/// Checkpoint one monitor into the store directory (tmp-file + rename,
-/// the same crash-safe discipline as the fabric outcome store). A
-/// persistence failure never fails the request: the monitor stays
-/// correct in memory and the next event retries the write.
-fn persist_monitor(state: &Arc<ServerState>, id: u64, monitor: &Arc<Mutex<Monitor>>) {
-    let Some(dir) = &state.monitor_store else {
-        return;
-    };
-    let cp = monitor
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .checkpoint(id);
-    let text = render_checkpoint(&cp);
-    let tmp = dir.join(format!(".tmp-{}-{id}", std::process::id()));
-    let path = dir.join(format!("monitor-{id}"));
-    if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, &path).is_err() {
-        let _ = std::fs::remove_file(&tmp);
+/// Checkpoint one monitor as the store frame `monitor-<id>`, keyed by
+/// its id. A persistence failure never fails the request: the monitor
+/// stays correct in memory and the next event retries the write.
+fn persist_monitor(state: &ServerState, id: u64, monitor: &Monitor) {
+    if let Some(store) = &state.monitor_store {
+        let body = checkpoint_body(&monitor.checkpoint(id));
+        let _ = store.write(
+            &format!("monitor-{id}"),
+            CHECKPOINT_HEADER,
+            &id.to_string(),
+            &body,
+        );
     }
 }
 
-/// Replay every checkpoint in the store directory at startup, so
-/// monitor sessions survive a daemon restart. Unreadable or invalid
-/// files are skipped: a half-written checkpoint must not stop the
-/// server from coming up.
-fn resume_monitors(state: &Arc<ServerState>, dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(id_text) = name.to_str().and_then(|n| n.strip_prefix("monitor-")) else {
+/// Replay every checkpoint in the store at startup, so monitor sessions
+/// survive a daemon restart. An invalid checkpoint is deleted by the
+/// store's read, and one whose trace no longer replays is skipped: a bad
+/// file must not stop the server from coming up.
+fn resume_monitors(state: &Arc<ServerState>, store: &FrameStore) {
+    for name in store.list("monitor-", "") {
+        let Some(id) = name
+            .strip_prefix("monitor-")
+            .and_then(|id| id.parse::<u64>().ok())
+        else {
             continue;
         };
-        let Ok(id) = id_text.parse::<u64>() else {
-            continue;
-        };
-        let Ok(text) = std::fs::read_to_string(entry.path()) else {
-            continue;
-        };
-        let Ok(cp) = parse_checkpoint(&text) else {
+        let Some(cp) = store.read(&name, CHECKPOINT_HEADER, &id.to_string(), |body| {
+            parse_checkpoint_body(id, body).ok()
+        }) else {
             continue;
         };
         let Ok(monitor) = Monitor::resume(&cp, &state.pool) else {
             continue;
         };
-        let stats = monitor.stats();
-        {
-            let mut store = state.store();
-            store.stats.monitors += 1;
-            store.stats.monitor_events += stats.events as u64;
-            store.stats.monitor_points_reused += stats.points_reused as u64;
-            store.stats.monitor_delta += stats.delta_saturations as u64;
-            store.stats.monitor_full += stats.full_saturations as u64;
-        }
+        state.store().stats.monitors += 1;
+        record_monitor_delta(state, MonitorStats::default(), monitor.stats());
         let mut monitors = state.monitors();
         monitors.sessions.insert(id, Arc::new(Mutex::new(monitor)));
         monitors.next_id = monitors.next_id.max(id + 1);
@@ -3188,6 +3180,101 @@ mod tests {
                 .any(|l| l.starts_with("monitor: 2 session(s), 3 event(s),")),
             "missing resumed monitor counters in:\n{stats}"
         );
+        c.shutdown().expect("shutdown");
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Eight clients race `EVENT`s into one monitor backed by a store
+    /// while a reader polls its checkpoint file. Every read must parse,
+    /// the final checkpoint must hold every acknowledged line, and a
+    /// restarted daemon must resume all of them.
+    #[test]
+    fn concurrent_events_checkpoint_every_acknowledged_line() {
+        use atl_model::wire::parse_checkpoint;
+
+        const CLIENTS: usize = 8;
+        const EVENTS: usize = 60;
+        const PAD: &str = "newkey Env __pad";
+        let prefix = &MONITOR_TRACE[..3];
+        let dir = std::env::temp_dir().join(format!(
+            "atl-serve-unit-{}-monitor-race",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServeConfig {
+            port: 0,
+            pool: Pool::new(1),
+            conn_workers: CLIENTS + 2,
+            monitor_store: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let server = Server::start(config.clone()).expect("bind");
+        let mut c = Client::connect(server.addr()).expect("connect");
+        assert!(c.request("MONITOR Env has Kab").expect("monitor").ok);
+        for line in prefix {
+            assert!(c.request(&format!("EVENT 1 {line}")).expect("event").ok);
+        }
+
+        let path = dir.join("monitor-1");
+        let done = AtomicBool::new(false);
+        let (reads, failures) = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let (mut reads, mut failures) = (0usize, Vec::new());
+                while !done.load(Ordering::SeqCst) {
+                    reads += 1;
+                    let read = std::fs::read_to_string(&path).map_err(|e| e.to_string());
+                    if let Err(e) = read.and_then(|t| parse_checkpoint(&t).map_err(|e| e.0)) {
+                        failures.push(e);
+                    }
+                }
+                (reads, failures)
+            });
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut c = Client::connect(server.addr()).expect("connect");
+                        for _ in 0..EVENTS {
+                            let resp = c.request(&format!("EVENT 1 {PAD}")).expect("event");
+                            assert!(resp.ok, "{resp:?}");
+                        }
+                    })
+                })
+                .collect();
+            for client in clients {
+                client.join().expect("client thread");
+            }
+            done.store(true, Ordering::SeqCst);
+            reader.join().expect("reader thread")
+        });
+        assert!(
+            failures.is_empty(),
+            "{} of {reads} checkpoint reads failed, first: {:?}",
+            failures.len(),
+            failures.first()
+        );
+        let acknowledged = prefix.len() + CLIENTS * EVENTS;
+        let cp = parse_checkpoint(&std::fs::read_to_string(&path).expect("read checkpoint"))
+            .expect("final checkpoint parses");
+        assert_eq!(cp.lines.len(), acknowledged, "checkpoint lags the replies");
+        c.shutdown().expect("shutdown");
+        server.join();
+
+        let server = Server::start(config).expect("rebind");
+        let mut c = Client::connect(server.addr()).expect("reconnect");
+        let stats = c.request("STATS").expect("stats").payload();
+        let resumed = format!("monitor: 1 session(s), {} event(s),", CLIENTS * EVENTS);
+        assert!(
+            stats.lines().any(|l| l.starts_with(&resumed)),
+            "missing {resumed:?} in:\n{stats}"
+        );
+        let pool = Pool::new(1);
+        let mut reference = Monitor::new("monitor-1", ["Env has Kab".to_string()]).expect("ref");
+        for line in prefix.iter().copied().chain([PAD; CLIENTS * EVENTS]) {
+            reference.feed_line(line, &pool).expect("reference feed");
+        }
+        let next = c.request(&format!("EVENT 1 {PAD}")).expect("event");
+        assert_eq!(next.lines, reference.feed_line(PAD, &pool).expect("feed"));
         c.shutdown().expect("shutdown");
         server.join();
         let _ = std::fs::remove_dir_all(&dir);

@@ -38,6 +38,7 @@ mod protocol;
 mod run;
 mod search;
 mod state;
+pub mod store;
 mod sweep;
 mod system;
 mod trace;

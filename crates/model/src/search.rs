@@ -33,14 +33,15 @@
 //! whole search — batch generation is sequential, sweeps merge by index,
 //! shrinking is deterministic — is byte-identical at every worker count.
 //!
-//! A [`HuntStore`] persists the corpus with the outcome-store checksum
-//! discipline, so a killed hunt resumes without re-discovering (or
-//! duplicating) its classes.
+//! A [`HuntStore`] persists the corpus as [`crate::store`] frames, so a
+//! killed hunt resumes without re-discovering (or duplicating) its
+//! classes.
 
 use crate::executor::ExecOptions;
 use crate::faults::FaultPlan;
 use crate::parallel::Pool;
 use crate::protocol::Protocol;
+use crate::store::FrameStore;
 use crate::sweep::{
     execution_context_digest, sweep_plans_on, ExecOutcome, ExecutionCache, PlanFingerprint,
     SweepGrid,
@@ -52,8 +53,7 @@ use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::PathBuf;
 
 /// The bounds of a mutation search: which values each plan axis may
 /// take. The same space also describes the exhaustive grid
@@ -338,11 +338,17 @@ const INITIAL_ENERGY: u32 = 8;
 
 /// Runs the feedback-directed search. `classify` maps one executed plan
 /// to its degradation signature; the hunt treats signatures as opaque
-/// strings. `store`, when given, persists each newly founded class and
-/// seeds the corpus from previously persisted ones (resuming a killed
-/// hunt without duplicate signatures); persistence failures are
-/// silently ignored — the store is a cache of discoveries, never the
-/// source of truth.
+/// strings. `store`, when given, persists the witness of each newly
+/// founded class and seeds the corpus from previously persisted ones
+/// (resuming a killed hunt without duplicate signatures); persistence
+/// failures are silently ignored — the store is a cache of discoveries,
+/// never the source of truth.
+///
+/// A resumed plan is re-executed through `cache` and re-classified by
+/// `classify`, outside the budget: the store's key covers the protocol
+/// and options, not everything a classifier may read (a spec's goals and
+/// belief assumptions), so a signature computed by an earlier hunt may
+/// no longer hold.
 ///
 /// The result is byte-identical at every `pool` worker count: mutants
 /// are generated sequentially from the seeded RNG, executions ride the
@@ -368,38 +374,10 @@ where
     let mut classes: Vec<DegradationClass> = Vec::new();
     let mut corpus: Vec<(FaultPlan, u32)> = Vec::new();
 
-    // Resume: persisted classes are trusted (the store checksums them),
-    // so their signatures and fingerprints count as already seen.
-    if let Some(store) = store {
-        for (signature, plan) in store.load(context) {
-            seen.insert(PlanFingerprint::of(&plan).wire());
-            if sigs.contains_key(&signature) {
-                continue;
-            }
-            sigs.insert(signature.clone(), classes.len());
-            classes.push(DegradationClass {
-                signature,
-                minimal: plan.clone(),
-                witness: plan.clone(),
-                members: 1,
-            });
-            corpus.push((plan, INITIAL_ENERGY));
-            stats.resumed += 1;
-        }
-    }
-
-    // Round zero: the identity plan plus any seed corpus, minus what the
-    // store already covered.
-    let mut pending: Vec<FaultPlan> = Vec::new();
-    for plan in std::iter::once(config.space.identity()).chain(config.seed_plans.iter().cloned()) {
-        if plan.validate().is_ok() && seen.insert(PlanFingerprint::of(&plan).wire()) {
-            pending.push(plan);
-        }
-    }
-
     // The baseline signature comes from a dedicated identity execution
     // so it is never confused with the first mutant on a resumed hunt;
-    // round zero re-sees the identity plan as a free cache hit.
+    // resuming and round zero re-see the identity plan as a free cache
+    // hit.
     let baseline = {
         let identity = config.space.identity();
         let outcome = sweep_plans_on(
@@ -414,6 +392,34 @@ where
         classify(&identity, outcome.results[0].outcome.as_ref())
     };
 
+    // Resume: persisted plans are inputs, so they are executed and
+    // classified afresh; their fingerprints count as already seen.
+    if let Some(store) = store {
+        let outcome = sweep_plans_on(protocol, options, &store.load(context), pool, cache);
+        for result in &outcome.results {
+            seen.insert(PlanFingerprint::of(&result.plan).wire());
+            let signature = classify(&result.plan, result.outcome.as_ref());
+            if admit(
+                &mut classes,
+                &mut sigs,
+                &mut corpus,
+                &result.plan,
+                signature,
+            ) {
+                stats.resumed += 1;
+            }
+        }
+    }
+
+    // Round zero: the identity plan plus any seed corpus, minus what the
+    // store already covered.
+    let mut pending: Vec<FaultPlan> = Vec::new();
+    for plan in std::iter::once(config.space.identity()).chain(config.seed_plans.iter().cloned()) {
+        if plan.validate().is_ok() && seen.insert(PlanFingerprint::of(&plan).wire()) {
+            pending.push(plan);
+        }
+    }
+
     loop {
         if !pending.is_empty() {
             stats.rounds += 1;
@@ -422,20 +428,15 @@ where
             stats.cache_hits += outcome.stats.cache_hits;
             for result in &outcome.results {
                 let signature = classify(&result.plan, result.outcome.as_ref());
-                match sigs.get(&signature) {
-                    Some(&slot) => classes[slot].members += 1,
-                    None => {
-                        sigs.insert(signature.clone(), classes.len());
-                        if let Some(store) = store {
-                            let _ = store.save(context, &signature, &result.plan);
-                        }
-                        classes.push(DegradationClass {
-                            signature,
-                            minimal: result.plan.clone(),
-                            witness: result.plan.clone(),
-                            members: 1,
-                        });
-                        corpus.push((result.plan.clone(), INITIAL_ENERGY));
+                if admit(
+                    &mut classes,
+                    &mut sigs,
+                    &mut corpus,
+                    &result.plan,
+                    signature,
+                ) {
+                    if let Some(store) = store {
+                        let _ = store.save(context, &result.plan);
                     }
                 }
             }
@@ -488,6 +489,31 @@ where
         baseline,
         stats,
     }
+}
+
+/// Files one executed plan under its signature: one more member of a
+/// known class, or the witness of a new class entering the corpus.
+/// Returns whether the class is new.
+fn admit(
+    classes: &mut Vec<DegradationClass>,
+    sigs: &mut BTreeMap<String, usize>,
+    corpus: &mut Vec<(FaultPlan, u32)>,
+    plan: &FaultPlan,
+    signature: String,
+) -> bool {
+    if let Some(&slot) = sigs.get(&signature) {
+        classes[slot].members += 1;
+        return false;
+    }
+    sigs.insert(signature.clone(), classes.len());
+    classes.push(DegradationClass {
+        signature,
+        minimal: plan.clone(),
+        witness: plan.clone(),
+        members: 1,
+    });
+    corpus.push((plan.clone(), INITIAL_ENERGY));
+    true
 }
 
 /// Energy-weighted parent pick; falls back to the identity plan while
@@ -612,17 +638,19 @@ fn reductions(space: &MutationSpace, plan: &FaultPlan) -> Vec<FaultPlan> {
     out
 }
 
-/// A directory of persisted hunt discoveries, one checksummed file per
-/// degradation class, in the outcome-store frame style: a versioned
-/// header, the context digest and plan fingerprint as the key, a
-/// length-and-FNV-checksummed payload. A truncated or bit-flipped entry
-/// is deleted on load and simply re-found by the next hunt; saves are
-/// atomic (temp file + rename), so a `kill -9` mid-write never leaves a
-/// half entry behind.
+/// The header of a hunt corpus frame.
+const CORPUS_HEADER: &str = "atl-corpus v2";
+
+/// A directory of persisted hunt discoveries: one [`crate::store`]
+/// frame per class witness, named
+/// `{context:016x}-{fingerprint digest:016x}.corpus` and keyed by the
+/// same two digests. The frame holds only the plan, an input: a resumed
+/// hunt re-executes and re-classifies it (see [`hunt_plans_on`]).
+/// Entries failing verification are deleted on load and simply re-found
+/// by the next hunt.
 #[derive(Debug)]
 pub struct HuntStore {
-    dir: PathBuf,
-    counter: AtomicU64,
+    frames: FrameStore,
 }
 
 impl HuntStore {
@@ -632,112 +660,40 @@ impl HuntStore {
     ///
     /// Any [`io::Error`] from creating the directory.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
         Ok(HuntStore {
-            dir,
-            counter: AtomicU64::new(0),
+            frames: FrameStore::open(dir)?,
         })
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Persists one class atomically under
-    /// `{context:016x}-{fingerprint:016x}.corpus`.
+    /// Persists one plan atomically under `context`.
     ///
     /// # Errors
     ///
     /// Any [`io::Error`] from writing or renaming the entry.
-    pub fn save(&self, context: u64, signature: &str, plan: &FaultPlan) -> io::Result<()> {
-        let fingerprint = PlanFingerprint::of(plan);
-        let body = format!("{}\n{}\n", wire::escape(signature), wire::render_plan(plan));
-        let text = format!(
-            "atl-corpus v1\nkey {context:016x} {}\nlen {} sum {:016x}\n{body}",
-            fingerprint.wire(),
-            body.len(),
-            wire::fnv64(body.as_bytes()),
-        );
-        let name = format!("{context:016x}-{:016x}.corpus", fingerprint.digest());
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            self.counter.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, self.dir.join(name))
+    pub fn save(&self, context: u64, plan: &FaultPlan) -> io::Result<()> {
+        let digest = PlanFingerprint::of(plan).digest();
+        self.frames.write(
+            &format!("{context:016x}-{digest:016x}.corpus"),
+            CORPUS_HEADER,
+            &format!("{context:016x} {digest:016x}"),
+            &format!("{}\n", wire::render_plan(plan)),
+        )
     }
 
-    /// Loads every verifiable entry for `context`, in filename order.
-    /// Entries that fail the header, length, checksum, or
-    /// fingerprint-consistency check are deleted, not returned.
-    pub fn load(&self, context: u64) -> Vec<(String, FaultPlan)> {
-        let prefix = format!("{context:016x}-");
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut names: Vec<String> = entries
-            .flatten()
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with(&prefix) && n.ends_with(".corpus"))
-            .collect();
-        names.sort();
-        let mut out = Vec::new();
-        for name in names {
-            let path = self.dir.join(&name);
-            match std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|t| parse_entry(context, &t))
-            {
-                Some(entry) => out.push(entry),
-                None => {
-                    let _ = std::fs::remove_file(&path);
-                }
-            }
-        }
-        out
+    /// Loads every verifiable plan for `context`, in filename order.
+    pub fn load(&self, context: u64) -> Vec<FaultPlan> {
+        let names = self.frames.list(&format!("{context:016x}-"), ".corpus");
+        names
+            .iter()
+            .filter_map(|name| {
+                let key = name.trim_end_matches(".corpus").replacen('-', " ", 1);
+                self.frames.read(name, CORPUS_HEADER, &key, |body| {
+                    let plan = wire::parse_plan(body.strip_suffix('\n')?).ok()?;
+                    plan.validate().is_ok().then_some(plan)
+                })
+            })
+            .collect()
     }
-}
-
-/// Parses and verifies one store entry; `None` means corrupt.
-fn parse_entry(context: u64, text: &str) -> Option<(String, FaultPlan)> {
-    let mut lines = text.lines();
-    if lines.next() != Some("atl-corpus v1") {
-        return None;
-    }
-    let key = lines.next()?;
-    let mut key_fields = key.splitn(3, ' ');
-    if key_fields.next() != Some("key") {
-        return None;
-    }
-    if u64::from_str_radix(key_fields.next()?, 16).ok()? != context {
-        return None;
-    }
-    let stored_fp = key_fields.next()?.to_string();
-    let frame = lines.next()?;
-    let mut frame_fields = frame.split(' ');
-    if frame_fields.next() != Some("len") {
-        return None;
-    }
-    let len: usize = frame_fields.next()?.parse().ok()?;
-    if frame_fields.next() != Some("sum") {
-        return None;
-    }
-    let sum = u64::from_str_radix(frame_fields.next()?, 16).ok()?;
-    let header_end = text.match_indices('\n').nth(2)?.0 + 1;
-    let body = &text[header_end..];
-    if body.len() != len || wire::fnv64(body.as_bytes()) != sum {
-        return None;
-    }
-    let mut body_lines = body.lines();
-    let signature = wire::unescape(body_lines.next()?).ok()?;
-    let plan = wire::parse_plan(body_lines.next()?).ok()?;
-    if plan.validate().is_err() || PlanFingerprint::of(&plan).wire() != stored_fp {
-        return None;
-    }
-    Some((signature, plan))
 }
 
 #[cfg(test)]
@@ -884,11 +840,8 @@ mod tests {
         let store = HuntStore::open(&dir).unwrap();
         let context = 0xfeed;
         let plan = FaultPlan::new(3).drop(0.5).compromise(Key::new("Kab"), 2);
-        store.save(context, "sig with spaces", &plan).unwrap();
-        assert_eq!(
-            store.load(context),
-            vec![("sig with spaces".to_string(), plan.clone())]
-        );
+        store.save(context, &plan).unwrap();
+        assert_eq!(store.load(context), vec![plan.clone()]);
         // A different context sees nothing.
         assert!(store.load(0xbeef).is_empty());
         // Corrupt the entry: it is discarded (and deleted), not served.

@@ -26,6 +26,7 @@
 
 use crate::error::ModelError;
 use crate::faults::{AbandonedStep, ExecReport, FaultEvent, FaultKind, FaultPlan};
+use crate::store::{parse_frame, render_frame};
 use crate::sweep::ExecOutcome;
 use crate::trace::{parse_trace, render_trace};
 use atl_lang::{Key, Principal};
@@ -395,9 +396,9 @@ pub struct MonitorCheckpoint {
     pub lines: Vec<String>,
 }
 
-/// FNV-1a 64 over `data`: the checksum guarding every persisted frame
-/// (outcome-store entries, hunt corpora, monitor checkpoints) against
-/// truncation and bit rot.
+/// FNV-1a 64 over `data`: the checksum guarding every [`crate::store`]
+/// frame (outcome-store entries, hunt corpora, monitor checkpoints)
+/// against truncation and bit rot.
 pub fn fnv64(data: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in data {
@@ -407,93 +408,69 @@ pub fn fnv64(data: &[u8]) -> u64 {
     hash
 }
 
-/// Renders a checkpoint in the outcome-store frame style: a versioned
-/// header, counted percent-escaped payload lines, and an FNV-1a checksum
-/// over the payload so a truncated or bit-flipped file is rejected, not
-/// half-replayed.
+/// The header of a monitor checkpoint frame.
+pub const CHECKPOINT_HEADER: &str = "atl-monitor v2";
+
+/// Renders a checkpoint as a [`crate::store`] frame: header
+/// [`CHECKPOINT_HEADER`], the session id as the key, and
+/// [`checkpoint_body`] as the body, so a truncated or bit-flipped file
+/// is rejected, not half-replayed.
 pub fn render_checkpoint(cp: &MonitorCheckpoint) -> String {
-    let mut body = String::new();
-    for f in &cp.formulas {
-        body.push_str(&escape(f));
-        body.push('\n');
-    }
-    for l in &cp.lines {
-        body.push_str(&escape(l));
-        body.push('\n');
-    }
-    format!(
-        "atl-monitor v1\nid {} name {}\nformulas {} lines {} sum {:016x}\n{body}",
-        cp.id,
-        escape(&cp.name),
-        cp.formulas.len(),
-        cp.lines.len(),
-        fnv64(body.as_bytes())
-    )
+    render_frame(CHECKPOINT_HEADER, &cp.id.to_string(), &checkpoint_body(cp))
 }
 
 /// Reverses [`render_checkpoint`].
 ///
 /// # Errors
 ///
-/// [`WireError`] on a bad header, count/checksum mismatch, malformed
-/// escape, or trailing garbage.
+/// [`WireError`] on a frame that fails [`parse_frame`], a bad id, or a
+/// body [`parse_checkpoint_body`] rejects.
 pub fn parse_checkpoint(text: &str) -> Result<MonitorCheckpoint, WireError> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some("atl-monitor v1") => {}
-        other => return Err(err(format!("bad checkpoint header {other:?}"))),
-    }
-    let id_line = lines.next().ok_or_else(|| err("missing id line"))?;
-    let (id, name) = id_line
-        .strip_prefix("id ")
-        .and_then(|rest| rest.split_once(" name "))
-        .ok_or_else(|| err(format!("bad id line {id_line:?}")))?;
-    let id: u64 = id.parse().map_err(|e| err(format!("checkpoint id: {e}")))?;
-    let name = unescape(name)?;
-    let frame = lines.next().ok_or_else(|| err("missing frame line"))?;
-    let mut parts = frame.split_whitespace();
-    let (Some("formulas"), Some(nf), Some("lines"), Some(nl), Some("sum"), Some(sum), None) = (
-        parts.next(),
-        parts.next(),
-        parts.next(),
-        parts.next(),
-        parts.next(),
-        parts.next(),
-        parts.next(),
-    ) else {
-        return Err(err(format!("bad frame line {frame:?}")));
-    };
-    let nf: usize = nf.parse().map_err(|e| err(format!("formula count: {e}")))?;
-    let nl: usize = nl.parse().map_err(|e| err(format!("line count: {e}")))?;
-    let sum = u64::from_str_radix(sum, 16).map_err(|e| err(format!("checksum: {e}")))?;
+    let (key, body) = parse_frame(CHECKPOINT_HEADER, text)?;
+    let id = key
+        .parse()
+        .map_err(|e| err(format!("checkpoint id {key:?}: {e}")))?;
+    parse_checkpoint_body(id, body)
+}
 
-    let mut body = String::new();
-    let mut tokens = Vec::with_capacity(nf + nl);
-    for _ in 0..nf + nl {
-        let line = lines.next().ok_or_else(|| err("truncated payload"))?;
-        body.push_str(line);
+/// A checkpoint's frame body: a `name <name> formulas <n>` line, then
+/// the `n` formula texts and the fed trace lines, one percent-escaped
+/// text per line.
+pub fn checkpoint_body(cp: &MonitorCheckpoint) -> String {
+    let mut body = format!("name {} formulas {}\n", escape(&cp.name), cp.formulas.len());
+    for text in cp.formulas.iter().chain(&cp.lines) {
+        body.push_str(&escape(text));
         body.push('\n');
-        tokens.push(line);
     }
-    if lines.next().is_some() {
-        return Err(err("trailing lines after checkpoint payload"));
+    body
+}
+
+/// Reverses [`checkpoint_body`] for the session `id`.
+///
+/// # Errors
+///
+/// [`WireError`] on a bad name line, fewer formulas than it counts, or a
+/// malformed escape.
+pub fn parse_checkpoint_body(id: u64, body: &str) -> Result<MonitorCheckpoint, WireError> {
+    let mut lines = body.lines();
+    let head = lines.next().unwrap_or_default();
+    let (name, count) = head
+        .strip_prefix("name ")
+        .and_then(|rest| rest.split_once(" formulas "))
+        .ok_or_else(|| err(format!("bad checkpoint name line {head:?}")))?;
+    let count: usize = count
+        .parse()
+        .map_err(|e| err(format!("formula count: {e}")))?;
+    let mut texts = lines.map(unescape);
+    let formulas: Vec<String> = texts.by_ref().take(count).collect::<Result<_, _>>()?;
+    if formulas.len() != count {
+        return Err(err("checkpoint holds fewer formulas than it counts"));
     }
-    if fnv64(body.as_bytes()) != sum {
-        return Err(err("checkpoint checksum mismatch"));
-    }
-    let formulas = tokens[..nf]
-        .iter()
-        .map(|t| unescape(t))
-        .collect::<Result<_, _>>()?;
-    let lines = tokens[nf..]
-        .iter()
-        .map(|t| unescape(t))
-        .collect::<Result<_, _>>()?;
     Ok(MonitorCheckpoint {
         id,
-        name,
+        name: unescape(name)?,
         formulas,
-        lines,
+        lines: texts.collect::<Result<_, _>>()?,
     })
 }
 

@@ -46,20 +46,21 @@
 //!     Compromise candidates default to every key the spec mentions;
 //!     `--compromise` adds more. `--store DIR` persists the corpus with
 //!     checksummed entries, so a killed hunt resumes without duplicate
-//!     signatures; `--from-monitor FILE` seeds the corpus from a
+//!     signatures (resumed plans are re-classified against the spec
+//!     given); `--from-monitor FILE` seeds the corpus from a
 //!     persisted monitor checkpoint (compromises and replays
 //!     reconstructed from the live prefix). Output is byte-identical at
 //!     every `--jobs` count.
 //! atl serve [--port N] [--max-sessions N] [--idle-timeout SECS]
 //!           [--drain SECS] [--conn-workers N] [--queue-depth N]
-//!           [--exec-cache-cap N]
+//!           [--exec-cache-cap N] [--store DIR]
 //!     run the serve-mode daemon: a long-lived loopback TCP server that
 //!     parses each spec once into a warmed session (frozen interner,
 //!     good-run vector, eval caches) and answers
-//!     LOAD/RELOAD/ANALYZE/EVAL/INJECT/SWEEP/STATS/METRICS/SHUTDOWN
-//!     requests from it. LOAD digests are canonical (comments and
-//!     insignificant whitespace erased), so comment-only twins dedupe
-//!     to one session; `RELOAD <id> <spec>` re-points a live session at
+//!     LOAD/RELOAD/ANALYZE/EVAL/INJECT/SWEEP/HUNT/MONITOR/EVENT/STATS/
+//!     METRICS/SHUTDOWN requests from it. LOAD digests are canonical
+//!     (comments and insignificant whitespace erased), so comment-only
+//!     twins dedupe to one session; `RELOAD <id> <spec>` re-points a live session at
 //!     an edited spec, diffing the new parse against the old one and
 //!     reusing every stage and cache whose inputs are untouched —
 //!     answers stay byte-identical to a cold load of the edited spec.
@@ -77,7 +78,8 @@
 //!     and cache counters). Connections idle past `--idle-timeout`
 //!     (default 300, 0 disables) are reaped; SHUTDOWN waits up to
 //!     `--drain` seconds (default 10) for in-flight requests to finish
-//!     writing.
+//!     writing. `--store DIR` checkpoints every MONITOR session after
+//!     each EVENT and resumes the checkpoints it finds there on start.
 //! atl client [--port N] REQUEST...
 //!     send one request line to a running daemon and print the payload
 //!     (the conformance smoke test's transport).

@@ -30,7 +30,7 @@ use atl::core::spec::parse_spec;
 use atl::lang::{Key, Message, Nonce};
 use atl::model::{
     execute_with_faults, hunt_plans_on, ExecOptions, ExecOutcome, ExecutionCache, ExpectPolicy,
-    FaultKind, FaultPlan, HuntConfig, MutationSpace, PlanFingerprint, Protocol, Role,
+    FaultKind, FaultPlan, HuntConfig, HuntStore, MutationSpace, PlanFingerprint, Protocol, Role,
 };
 use atl::protocols::attacks::attack_fixtures;
 use proptest::prelude::*;
@@ -390,6 +390,70 @@ fn cli_store_resumes_and_survives_corruption() {
         assert!(
             classes(&healed).contains(class),
             "corruption lost {class} for good"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A resumed hunt classifies its stored corpus against the spec it is
+/// given. Dropping a goal leaves the enacted protocol, and so the store's
+/// key, unchanged; the resumed classes must still carry the new goal
+/// count, exactly one of them must be the baseline, and every minimal
+/// plan must re-execute to its signature under the edited spec.
+#[test]
+fn resumed_hunt_reclassifies_its_corpus_after_a_goal_edit() {
+    let src = SPECS[2].1;
+    let dir = temp_dir("goal-edit");
+    let store = HuntStore::open(&dir).expect("open the hunt store");
+    let hunt = |at: &AtProtocol| {
+        let s = settings(at, 7, 48, None);
+        let report = hunt_report(at, &s, &Pool::new(1), &ExecutionCache::new(), Some(&store));
+        (s, report)
+    };
+    let (_, cold) = hunt(&spec_at(src));
+    assert!(cold.outcome.classes.len() > 1, "{cold}");
+
+    let last_goal = src.rfind("\ngoal ").expect("a goal line") + 1;
+    let end = last_goal
+        + src[last_goal..]
+            .find('\n')
+            .map_or(src.len() - last_goal, |n| n + 1);
+    let edited = spec_at(&format!("{}{}", &src[..last_goal], &src[end..]));
+    assert_eq!(edited.goals.len() + 1, spec_at(src).goals.len());
+    let (s, resumed) = hunt(&edited);
+    assert!(
+        resumed.outcome.stats.resumed > 0,
+        "nothing resumed: {resumed}"
+    );
+
+    for class in &resumed.outcome.classes {
+        let goals = class
+            .signature
+            .split_whitespace()
+            .find_map(|field| field.strip_prefix("goals="))
+            .expect("a goals= field");
+        assert_eq!(
+            goals.len(),
+            edited.goals.len(),
+            "stale signature {}",
+            class.signature
+        );
+    }
+    let baselines = resumed
+        .outcome
+        .classes
+        .iter()
+        .filter(|c| c.signature == resumed.outcome.baseline)
+        .count();
+    assert_eq!(baselines, 1, "{resumed}");
+    let (proto, mut classifier) = replica(&edited, &s);
+    for class in &resumed.outcome.classes {
+        let outcome = execute_with_faults(&proto, &s.options, &class.minimal);
+        assert_eq!(
+            classifier.signature(&outcome),
+            class.signature,
+            "{} does not reproduce its class under the edited spec",
+            class.minimal
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
