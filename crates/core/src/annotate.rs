@@ -217,79 +217,17 @@ pub fn analyze_at_with(protocol: &AtProtocol, config: ProverConfig) -> AtAnalysi
     }
 }
 
-/// Incrementally re-runs the annotation procedure after an edit that
-/// only **added** assumptions, starting from a previous analysis.
-///
-/// Each annotation level of the edited protocol is the closure of the
-/// previous run's level plus the new assumptions — for a closure
-/// operator, `cl(S ∪ A) = cl(cl(S) ∪ A)` — so every level, the final
-/// fact set, the goal verdicts, and with them the rendered report bytes
-/// are identical to a cold [`analyze_at`] of `new`. Only the derivation
-/// trace differs: facts resumed from a stored level reappear as given.
-/// The saved work is substantial: a cold analysis re-fires the full
-/// rule set once per step, while the resume pays one delta saturation
-/// per level, each proportional to the added assumptions' consequences.
-///
-/// The caller guarantees that `new.steps` equals the analyzed
-/// protocol's steps and that `new.assumptions` is the old assumption
-/// multiset plus `added` (in any order); goals may differ freely — they
-/// never feed the closure. Prover options are [`ProverConfig::default`],
-/// matching [`analyze_at`].
-pub fn reanalyze_at(old: &AtAnalysis, new: &AtProtocol, added: &[Formula]) -> AtAnalysis {
-    // Intermediate levels: rebuild each stored closure at its fixpoint
-    // and extend it with the added assumptions alone.
-    let intermediate = old.annotations.len().saturating_sub(1);
-    let mut annotations: Vec<BTreeSet<Formula>> = old.annotations[..intermediate]
-        .iter()
-        .map(|level| {
-            let mut p = Prover::at_fixpoint(level.iter().cloned(), ProverConfig::default());
-            p.saturate_delta(added.iter().cloned());
-            p.facts().clone()
-        })
-        .collect();
-    // Final level: extend the stored prover itself, keeping its trace.
-    let mut prover = old.prover.clone();
-    prover.saturate_delta(added.iter().cloned());
-    annotations.push(prover.facts().clone());
-    finish_reanalysis(new, annotations, prover)
-}
-
-fn finish_reanalysis(
-    new: &AtProtocol,
-    annotations: Vec<BTreeSet<Formula>>,
-    prover: Prover,
-) -> AtAnalysis {
-    let unstable_assumptions = new
-        .assumptions
-        .iter()
-        .filter(|f| !is_linguistically_stable(f))
-        .cloned()
-        .collect();
-    let goals = new
-        .goals
-        .iter()
-        .map(|g| (g.clone(), prover.holds(g)))
-        .collect();
-    AtAnalysis {
-        annotations,
-        prover,
-        goals,
-        unstable_assumptions,
-    }
-}
-
 /// An annotation run packaged for repeated in-place resumption (the
-/// serve daemon's `RELOAD`): the saturated prover at every annotation
-/// level — `levels[i]`'s fact set is annotation level `i`, the last
-/// entry is the final closure — **with trigger indexes intact**, plus
-/// the computed goal verdicts and stability warnings.
+/// serve daemon's `RELOAD`, the streaming monitor): the saturated prover
+/// at every annotation level — `levels[i]`'s fact set is annotation
+/// level `i`, the last entry is the final closure — **with trigger
+/// indexes intact**, plus the computed goal verdicts and stability
+/// warnings.
 ///
-/// Unlike [`reanalyze_at`], which rebuilds each stored closure via
-/// [`Prover::at_fixpoint`] (re-indexing every fact), advancing a resume
-/// mutates its provers in place: an edit that adds assumptions costs one
-/// delta saturation per level, proportional to the *new* consequences
-/// only. An owner that threads the same resume through a chain of edits
-/// never clones a prover at all.
+/// Advancing a resume mutates its provers in place: an edit that adds
+/// assumptions costs one delta saturation per level, proportional to the
+/// *new* consequences only. An owner that threads the same resume
+/// through a chain of edits never clones a prover at all.
 #[derive(Clone, Debug)]
 pub struct AnalysisResume {
     levels: Vec<Prover>,
@@ -332,13 +270,13 @@ pub fn analyze_at_resumable(protocol: &AtProtocol) -> AnalysisResume {
 impl AnalysisResume {
     /// Re-verifies for an edited protocol by extending every level with
     /// `added` **in place** — one delta saturation each, no re-indexing,
-    /// no clone. The same contract as [`reanalyze_at`]: `new.steps`
-    /// equals the analyzed steps and `new.assumptions` is the old
-    /// multiset plus `added` (goals may differ freely; `added` may be
-    /// empty for a goal-only edit). Afterwards this resume is exactly
-    /// what [`analyze_at_resumable`] of `new` would have built — same
-    /// levels, verdicts, warnings, and report bytes — by the closure
-    /// argument `cl(S ∪ A) = cl(cl(S) ∪ A)`.
+    /// no clone. The caller guarantees that `new.steps` equals the
+    /// analyzed steps and that `new.assumptions` is the old multiset plus
+    /// `added`, in any order (goals may differ freely — they never feed
+    /// the closure — and `added` may be empty for a goal-only edit).
+    /// Afterwards this resume is exactly what [`analyze_at_resumable`] of
+    /// `new` would have built — same levels, verdicts, warnings, and
+    /// report bytes — by the closure argument `cl(S ∪ A) = cl(cl(S) ∪ A)`.
     pub fn advance(&mut self, new: &AtProtocol, added: &[Formula]) {
         for p in &mut self.levels {
             p.saturate_delta(added.iter().cloned());
@@ -485,92 +423,57 @@ mod tests {
         assert_eq!(analysis.unstable_assumptions.len(), 1);
     }
 
-    #[test]
-    fn reanalysis_matches_cold_analysis_for_added_assumptions() {
-        let full = figure1_at();
-        // Hold back each assumption in turn; resuming the reduced
-        // analysis with the held-out assumption must reproduce the cold
-        // analysis of the full protocol: every annotation level, the
-        // goal verdicts, and the rendered report bytes.
-        for held_out in 0..full.assumptions.len() {
-            let mut reduced = full.clone();
-            let added = reduced.assumptions.remove(held_out);
-            let old = analyze_at(&reduced);
-            let resumed = reanalyze_at(&old, &full, std::slice::from_ref(&added));
-            let cold = analyze_at(&full);
-            assert_eq!(resumed.annotations, cold.annotations, "level {held_out}");
-            assert_eq!(resumed.goals, cold.goals);
-            assert_eq!(resumed.prover.facts(), cold.prover.facts());
-            assert_eq!(
-                render_analysis(&full, &resumed),
-                render_analysis(&full, &cold)
-            );
-        }
+    /// The resume is indistinguishable from a cold analysis of `proto`:
+    /// annotation levels, verdicts, warnings, prover closure, and report
+    /// bytes.
+    fn assert_matches_cold(resume: &AnalysisResume, proto: &AtProtocol) {
+        let cold = analyze_at(proto);
+        let resumed = resume.to_analysis();
+        assert_eq!(resumed.annotations, cold.annotations);
+        assert_eq!(resumed.goals, cold.goals);
+        assert_eq!(resumed.unstable_assumptions, cold.unstable_assumptions);
+        assert_eq!(resumed.prover.facts(), cold.prover.facts());
+        assert_eq!(resume.render(proto), render_analysis(proto, &cold));
     }
 
     #[test]
     fn resumable_analysis_advances_in_place_and_matches_cold_analysis() {
-        // Start from a protocol holding back two assumptions, then feed
-        // them back one edit at a time through the same in-place resume.
-        // After every edit the resume must be indistinguishable from a
-        // cold analysis of the current protocol — annotation levels,
-        // verdicts, prover closure, and report bytes.
+        // Hold back each assumption in turn; advancing the reduced
+        // analysis by the held-out assumption must reproduce the cold
+        // analysis of the full protocol.
         let full = figure1_at();
+        for held_out in 0..full.assumptions.len() {
+            let mut reduced = full.clone();
+            let added = reduced.assumptions.remove(held_out);
+            let mut resume = analyze_at_resumable(&reduced);
+            assert_matches_cold(&resume, &reduced);
+            resume.advance(&full, std::slice::from_ref(&added));
+            assert_matches_cold(&resume, &full);
+        }
+        // Hold back two assumptions, then feed them back one edit at a
+        // time through the same in-place resume.
         let mut proto = full.clone();
         let second = proto.assumptions.remove(5);
         let first = proto.assumptions.remove(1);
         let mut resume = analyze_at_resumable(&proto);
-        assert_eq!(
-            resume.to_analysis().annotations,
-            analyze_at(&proto).annotations
-        );
         for added in [first, second] {
             proto = proto.clone().assume(added.clone());
             resume.advance(&proto, std::slice::from_ref(&added));
-            let cold = analyze_at(&proto);
-            let resumed = resume.to_analysis();
-            assert_eq!(resumed.annotations, cold.annotations);
-            assert_eq!(resumed.goals, cold.goals);
-            assert_eq!(resumed.prover.facts(), cold.prover.facts());
-            assert_eq!(resume.render(&proto), render_analysis(&proto, &cold));
+            assert_matches_cold(&resume, &proto);
         }
         // A goal-only edit advances with an empty delta: the closure is
         // untouched and only the verdict lines move.
         proto = proto.goal(Formula::has("A", Key::new("Kmissing")));
         resume.advance(&proto, &[]);
-        let cold = analyze_at(&proto);
-        assert_eq!(resume.to_analysis().goals, cold.goals);
-        assert_eq!(resume.render(&proto), render_analysis(&proto, &cold));
-    }
-
-    #[test]
-    fn reanalysis_with_no_additions_recomputes_goals_only() {
-        // Goal-only edits resume with an empty delta: the closure is
-        // untouched and only the verdict lines change.
-        let base = figure1_at();
-        let old = analyze_at(&base);
-        let mut goal_edit = base.clone();
-        goal_edit
-            .goals
-            .push(Formula::has("A", Key::new("Kmissing")));
-        let resumed = reanalyze_at(&old, &goal_edit, &[]);
-        let cold = analyze_at(&goal_edit);
-        assert_eq!(resumed.annotations, cold.annotations);
-        assert_eq!(resumed.goals, cold.goals);
-        assert_eq!(
-            render_analysis(&goal_edit, &resumed),
-            render_analysis(&goal_edit, &cold)
-        );
-    }
-
-    #[test]
-    fn reanalysis_recomputes_stability_warnings() {
+        assert_matches_cold(&resume, &proto);
+        // An added unstable assumption brings its stability warning.
         let unstable = Formula::not(Formula::sees("A", Message::nonce(Nonce::new("X"))));
         let base = AtProtocol::new("t").assume(Formula::has("A", Key::new("K")));
-        let old = analyze_at(&base);
+        let mut resume = analyze_at_resumable(&base);
         let edited = base.clone().assume(unstable.clone());
-        let resumed = reanalyze_at(&old, &edited, std::slice::from_ref(&unstable));
-        assert_eq!(resumed.unstable_assumptions, vec![unstable]);
+        resume.advance(&edited, std::slice::from_ref(&unstable));
+        assert_eq!(resume.to_analysis().unstable_assumptions, vec![unstable]);
+        assert_matches_cold(&resume, &edited);
     }
 
     #[test]

@@ -35,10 +35,12 @@
 use crate::annotate::AtProtocol;
 use crate::enact::{enact_with, EnactOptions};
 use crate::parallel::Pool;
-use crate::serve::{render_exec_options, render_policy, Client, MAX_REQUEST_BYTES};
+use crate::serve::{Client, MAX_REQUEST_BYTES};
 use crate::sweep::{survival_report, FaultSweepReport, SweepConfig};
 use atl_model::store::FrameStore;
-use atl_model::wire::{parse_outcome, render_outcome, render_plan};
+use atl_model::wire::{
+    parse_outcome, parse_sweep_response, render_outcome, render_plan, render_sweep_request,
+};
 use atl_model::{
     execute_with_faults, sweep_plans_resolve, ExecOutcome, ExecutionCache, FaultPlan,
     PlanFingerprint, Protocol,
@@ -282,7 +284,7 @@ struct SweepShared<'a> {
     store: Option<&'a OutcomeStore>,
     context: u64,
     spec_path: &'a str,
-    request_head: String,
+    config: &'a SweepConfig,
     fabric: &'a FabricConfig,
     requeues: AtomicU64,
     remote: AtomicU64,
@@ -392,11 +394,7 @@ fn resolve_missing(
             store,
             context,
             spec_path,
-            request_head: format!(
-                "policy={} options={}",
-                render_policy(&config.expect_policy),
-                render_exec_options(&config.options)
-            ),
+            config,
             fabric,
             requeues: AtomicU64::new(0),
             remote: AtomicU64::new(0),
@@ -581,11 +579,13 @@ fn try_shard(
         *conn = Some((client, id));
     }
     let (client, id) = conn.as_mut().expect("connection established above");
-    let plans: Vec<&str> = shard.entries.iter().map(|e| e.line.as_str()).collect();
     let request = format!(
-        "SWEEP {id} {} plans={}",
-        shared.request_head,
-        plans.join(";")
+        "SWEEP {id} {}",
+        render_sweep_request(
+            &shared.config.expect_policy,
+            &shared.config.options,
+            shard.entries.iter().map(|e| e.line.as_str()),
+        )
     );
     let resp = client
         .request(&request)
@@ -597,72 +597,7 @@ fn try_shard(
         ));
     }
     let digests: Vec<u64> = shard.entries.iter().map(|e| e.fp.digest()).collect();
-    decode_sweep_response(&resp.lines, &digests).map_err(|why| format!("worker {addr_text}: {why}"))
-}
-
-/// Decodes a `SWEEP` response into one outcome per expected plan,
-/// verifying the count, the ordering, and each fingerprint digest
-/// against what the coordinator computed itself — a worker answering
-/// for the wrong plans (stale spec, broken dedup) is a shard failure,
-/// not silent corruption.
-fn decode_sweep_response(lines: &[String], expected: &[u64]) -> Result<Vec<ExecOutcome>, String> {
-    let mut it = lines.iter();
-    let header = it.next().ok_or("empty SWEEP response")?;
-    let count: usize = header
-        .strip_prefix("plans ")
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| format!("bad SWEEP response header {header:?}"))?;
-    if count != expected.len() {
-        return Err(format!(
-            "SWEEP response carries {count} outcome(s), expected {}",
-            expected.len()
-        ));
-    }
-    let mut outcomes = Vec::with_capacity(count);
-    for (i, &digest) in expected.iter().enumerate() {
-        let head = it
-            .next()
-            .ok_or_else(|| format!("truncated SWEEP response at outcome {i}"))?;
-        let mut parts = head.split_whitespace();
-        let (Some("outcome"), Some(idx), Some(fp), Some(len), None) = (
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-        ) else {
-            return Err(format!("bad outcome header {head:?}"));
-        };
-        if idx.parse() != Ok(i) {
-            return Err(format!("outcome {i} answered out of order: {head:?}"));
-        }
-        let fp = fp
-            .strip_prefix("fp=")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| format!("bad fingerprint in {head:?}"))?;
-        if fp != digest {
-            return Err(format!(
-                "outcome {i} fingerprint {fp:016x} does not match expected {digest:016x}"
-            ));
-        }
-        let len: usize = len
-            .strip_prefix("lines=")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| format!("bad line count in {head:?}"))?;
-        let mut body = String::new();
-        for _ in 0..len {
-            body.push_str(
-                it.next()
-                    .ok_or_else(|| format!("truncated outcome {i} body"))?,
-            );
-            body.push('\n');
-        }
-        outcomes.push(parse_outcome(&body).map_err(|e| e.to_string())?);
-    }
-    if it.next().is_some() {
-        return Err("trailing lines after SWEEP response".to_string());
-    }
-    Ok(outcomes)
+    parse_sweep_response(&resp.lines, &digests).map_err(|why| format!("worker {addr_text}: {why}"))
 }
 
 #[cfg(test)]
@@ -803,47 +738,6 @@ mod tests {
         assert_eq!(store.load(4, &fp), Some(ok));
         assert_eq!(store.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sweep_response_decoding_rejects_mismatches() {
-        let lines = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
-        // Wrong count, bad header, fingerprint mismatch, truncation.
-        assert!(decode_sweep_response(&lines(&[]), &[1]).is_err());
-        assert!(decode_sweep_response(&lines(&["plans 2"]), &[1]).is_err());
-        assert!(decode_sweep_response(&lines(&["plans 1", "huh"]), &[1]).is_err());
-        assert!(decode_sweep_response(
-            &lines(&["plans 1", "outcome 0 fp=00000000000000ff lines=1", "err %"]),
-            &[1]
-        )
-        .is_err());
-        assert!(decode_sweep_response(
-            &lines(&["plans 1", "outcome 0 fp=0000000000000001 lines=3", "err %"]),
-            &[1]
-        )
-        .is_err());
-        // A well-formed error outcome decodes.
-        let ok = decode_sweep_response(
-            &lines(&[
-                "plans 1",
-                "outcome 0 fp=0000000000000001 lines=1",
-                "err boom",
-            ]),
-            &[1],
-        )
-        .expect("decode");
-        assert_eq!(ok[0].as_ref().expect_err("err").to_string(), "boom");
-        // Trailing garbage is rejected.
-        assert!(decode_sweep_response(
-            &lines(&[
-                "plans 1",
-                "outcome 0 fp=0000000000000001 lines=1",
-                "err boom",
-                "extra"
-            ]),
-            &[1]
-        )
-        .is_err());
     }
 
     #[test]

@@ -27,6 +27,7 @@
 use crate::annotate::{AtProtocol, AtStep};
 use crate::enact::{enact_with, EnactOptions};
 use crate::parallel::Pool;
+use crate::request::PlanFlags;
 use crate::sweep::{delivery_mask, MaskVerdicts};
 use atl_lang::{Formula, Key, KeyTerm, Message, Principal};
 use atl_model::wire::parse_checkpoint;
@@ -54,8 +55,8 @@ impl Default for HuntSettings {
         HuntSettings {
             config: HuntConfig::default(),
             options: ExecOptions::default(),
-            // `inject`'s default: wait 6 rounds, resend twice, then skip.
-            expect_policy: ExpectPolicy::resend_after(6, 2),
+            // `atl inject`'s default: wait 6 rounds, resend twice, then skip.
+            expect_policy: PlanFlags::default().policy(),
         }
     }
 }

@@ -41,7 +41,9 @@
 //! - [`theorems`] — machine-checked reconstructions of the BAN rules;
 //! - [`secrecy`] — the semantic secrecy audit (the paper's future work);
 //! - [`kripke`] — the possibility relation as an exportable Kripke frame;
-//! - [`spec`] — a textual protocol format for the `atl` CLI.
+//! - [`spec`] — a textual protocol format for the `atl` CLI;
+//! - [`request`] — the fault-flag grammar `atl inject`, `atl hunt` and
+//!   the daemon's `INJECT` share.
 //!
 //! ```
 //! use atl_core::prover::Prover;
@@ -75,6 +77,7 @@ pub mod monitor;
 pub mod proof;
 pub mod prover;
 pub mod quantifier;
+pub mod request;
 pub mod secrecy;
 pub mod semantics;
 pub mod serve;

@@ -44,7 +44,7 @@
 use crate::annotate::{analyze_at_resumable, AnalysisResume, AtProtocol};
 use crate::parallel::Pool;
 use crate::semantics::EvalCache;
-use crate::semantics::{GoodRuns, Semantics};
+use crate::semantics::{verdict_line, GoodRuns, Semantics};
 use atl_lang::parser::{parse_formula, ParseError, Symbols};
 use atl_lang::{Formula, Principal};
 use atl_model::wire::MonitorCheckpoint;
@@ -326,7 +326,7 @@ impl Monitor {
                 let v = sem
                     .eval(Point::new(0, k), phi)
                     .map_err(|e| MonitorError::Eval(e.to_string()))?;
-                out.push(format!("at (run 0, time {k}): {phi} = {v}"));
+                out.push(verdict_line(Point::new(0, k), phi, v));
                 verdicts.push(v);
             }
         }

@@ -269,19 +269,6 @@ impl Prover {
         prover
     }
 
-    /// Reconstructs a prover directly at a known fixpoint: `facts` must
-    /// be the exact fact set of a completed saturation (e.g. a stored
-    /// annotation level from [`analyze_at`](crate::annotate::analyze_at)).
-    /// The facts are seeded as given — the original derivation trace is
-    /// not recoverable — and
-    /// [`saturate_delta`](Self::saturate_delta) extends from them
-    /// incrementally instead of re-firing the full rule set.
-    pub fn at_fixpoint(facts: impl IntoIterator<Item = Formula>, config: ProverConfig) -> Self {
-        let mut prover = Prover::with_config(facts, config);
-        prover.saturated = true;
-        prover
-    }
-
     /// Adds a fact (e.g. an annotation `Q sees X` after a step).
     pub fn assume(&mut self, f: Formula) {
         if self.add(f, DerivedRule::Given, Vec::new()) {
@@ -1551,22 +1538,6 @@ mod tests {
         let mut fresh = Prover::new(seeds[..4].iter().cloned());
         fresh.saturate_delta([seeds[4].clone()]);
         assert_eq!(fresh.facts(), cold.facts());
-    }
-
-    #[test]
-    fn at_fixpoint_resumes_a_stored_closure() {
-        let seeds = figure1_seeds();
-        let mut base = Prover::new(seeds[..4].iter().cloned());
-        base.saturate();
-        // Rebuild from the bare fact set (as a stored annotation level
-        // would be) and extend incrementally.
-        let mut resumed =
-            Prover::at_fixpoint(base.facts().iter().cloned(), ProverConfig::default());
-        assert!(resumed.saturate_delta([seeds[4].clone()]).is_complete());
-        let mut cold = Prover::new(seeds.iter().cloned());
-        cold.saturate();
-        assert_eq!(resumed.facts(), cold.facts());
-        assert!(resumed.holds(&Formula::believes("B", kab())));
     }
 
     #[test]

@@ -437,6 +437,15 @@ impl EvalCache {
     }
 }
 
+/// The one-line verdict `at (run r, time k): φ = v` that `atl eval`,
+/// the daemon's `EVAL` and the streaming monitor all print.
+pub fn verdict_line(point: Point, phi: &Formula, verdict: bool) -> String {
+    format!(
+        "at (run {}, time {}): {phi} = {verdict}",
+        point.run, point.time
+    )
+}
+
 /// An evaluator for a fixed system and good-run vector.
 ///
 /// Belief evaluation groups the points of each principal's good runs by

@@ -51,10 +51,13 @@
 //! ANALYZE <id>                     the annotation report, bytes of `atl analyze`
 //! EVAL <id> <run:time|time> <phi>  semantic evaluation at a point
 //! INJECT <id> <fault-flags>        single-plan belief-survival report,
-//!                                  bytes of `atl inject`
+//!                                  bytes of `atl inject`; the flags go
+//!                                  through `atl inject`'s parser
+//!                                  (`crate::request`), errors included
 //! SWEEP <id> policy=<p> options=<o> plans=<plan>;<plan>;…
 //!                                  execute a shard of fault plans, one
-//!                                  wire-rendered outcome per plan
+//!                                  wire-rendered outcome per plan (the
+//!                                  `atl_model::wire` shard codec)
 //! HUNT <id> [seed=N] [budget=N] [batch=N]
 //!                                  coverage-guided attack search over the
 //!                                  session's fault-plan space, bytes of
@@ -72,10 +75,12 @@
 //! ```
 //!
 //! `SWEEP` is the worker half of the distributed fabric
-//! (`crate::fabric`): plans arrive in the exact [`atl_model::wire`]
-//! rendering, execute against the global [`ExecutionCache`], and the
-//! response carries each outcome keyed by its fingerprint digest —
-//! `outcome <i> fp=<16 hex> lines=<n>` followed by `n` lines of
+//! (`crate::fabric`): the request and the response are the
+//! [`atl_model::wire`] shard codec the coordinator also speaks
+//! ([`parse_sweep_request`], [`render_sweep_response`]). Plans execute
+//! against the global [`ExecutionCache`], and the response carries each
+//! outcome keyed by its fingerprint digest — `outcome <i> fp=<16 hex>
+//! lines=<n>` followed by `n` lines of
 //! [`atl_model::wire::render_outcome`].
 //!
 //! `MONITOR`/`EVENT` sessions live beside the spec sessions. With
@@ -129,18 +134,19 @@ use crate::inject::{inject_report, InjectRequest};
 use crate::metrics::{ExtraMetric, MetricKind, ServeMetrics, Verb};
 use crate::monitor::{Monitor, MonitorStats};
 use crate::parallel::Pool;
-use crate::semantics::{EvalCache, GoodRuns, RewarmStats, Semantics};
+use crate::request::PlanFlags;
+use crate::semantics::{verdict_line, EvalCache, GoodRuns, RewarmStats, Semantics};
 use crate::spec::{canonicalize_spec, parse_spec, SpecDiff};
 use crate::sweep::belief_assumptions;
 use atl_lang::parser::{parse_formula, Symbols};
-use atl_lang::Key;
 use atl_model::store::FrameStore;
 use atl_model::wire::{
-    checkpoint_body, parse_checkpoint_body, parse_plan_list, render_outcome, CHECKPOINT_HEADER,
+    checkpoint_body, parse_checkpoint_body, parse_sweep_request, render_sweep_response,
+    CHECKPOINT_HEADER,
 };
 use atl_model::{
-    execute_with_faults, sweep_plans_on, ExecOptions, ExecutionCache, ExpectPolicy, FaultPlan,
-    HuntConfig, OnTimeout, Point, Protocol, System,
+    execute_with_faults, sweep_plans_on, ExecOptions, ExecutionCache, FaultPlan, Point, Protocol,
+    System,
 };
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
@@ -839,7 +845,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
                 let verb = Verb::of_command(line.split_whitespace().next().unwrap_or(""));
                 let started = Instant::now();
                 state.active.fetch_add(1, Ordering::SeqCst);
-                let resp = catch_unwind(AssertUnwindSafe(|| dispatch(state, &line)))
+                let resp = catch_unwind(AssertUnwindSafe(|| dispatch(state, verb, &line)))
                     .unwrap_or_else(|_| Response::err("internal: request handler panicked"));
                 // Observe before the write: once a client has read its
                 // response, its request is guaranteed to be counted, so
@@ -857,35 +863,43 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
     }
 }
 
-fn dispatch(state: &Arc<ServerState>, line: &str) -> Response {
+/// Answers one request line whose first word `handle_connection`
+/// already classified as `verb`.
+fn dispatch(state: &Arc<ServerState>, verb: Verb, line: &str) -> Response {
     let line = line.trim();
     if line.is_empty() {
         return Response::err("empty request");
     }
-    let (cmd, rest) = match line.split_once(char::is_whitespace) {
-        Some((c, r)) => (c, r.trim()),
-        None => (line, ""),
-    };
-    match cmd {
-        "LOAD" => cmd_load(state, rest),
-        "RELOAD" => cmd_reload(state, rest),
-        "ANALYZE" => cmd_analyze(state, rest),
-        "EVAL" => cmd_eval(state, rest),
-        "INJECT" => cmd_inject(state, rest),
-        "SWEEP" => cmd_sweep(state, rest),
-        "HUNT" => cmd_hunt(state, rest),
-        "MONITOR" => cmd_monitor(state, rest),
-        "EVENT" => cmd_event(state, rest),
-        "STATS" if rest.is_empty() => cmd_stats(state),
-        "STATS" => Response::err("STATS takes no arguments"),
-        "METRICS" if rest.is_empty() => cmd_metrics(state),
-        "METRICS" => Response::err("METRICS takes no arguments"),
-        "SHUTDOWN" if rest.is_empty() => cmd_shutdown(state),
-        "SHUTDOWN" => Response::err("SHUTDOWN takes no arguments"),
-        other => Response::err(format!(
-            "unknown command {other:?} (expected LOAD, RELOAD, ANALYZE, EVAL, INJECT, SWEEP, \
+    let (cmd, rest) = first_word(line);
+    match verb {
+        Verb::Load => cmd_load(state, rest),
+        Verb::Reload => cmd_reload(state, rest),
+        Verb::Analyze => cmd_analyze(state, rest),
+        Verb::Eval => cmd_eval(state, rest),
+        Verb::Inject => cmd_inject(state, rest),
+        Verb::Sweep => cmd_sweep(state, rest),
+        Verb::Hunt => cmd_hunt(state, rest),
+        Verb::Monitor => cmd_monitor(state, rest),
+        Verb::Event => cmd_event(state, rest),
+        Verb::Stats | Verb::Metrics | Verb::Shutdown if !rest.is_empty() => {
+            Response::err(format!("{cmd} takes no arguments"))
+        }
+        Verb::Stats => cmd_stats(state),
+        Verb::Metrics => cmd_metrics(state),
+        Verb::Shutdown => cmd_shutdown(state),
+        Verb::Other => Response::err(format!(
+            "unknown command {cmd:?} (expected LOAD, RELOAD, ANALYZE, EVAL, INJECT, SWEEP, \
              HUNT, MONITOR, EVENT, STATS, METRICS or SHUTDOWN)"
         )),
+    }
+}
+
+/// Splits the first word off `text` (already trimmed): the word, and the
+/// rest with its surrounding whitespace trimmed.
+fn first_word(text: &str) -> (&str, &str) {
+    match text.split_once(char::is_whitespace) {
+        Some((word, rest)) => (word, rest.trim()),
+        None => (text, ""),
     }
 }
 
@@ -1138,10 +1152,10 @@ fn build_session(
 /// whose inputs are untouched. The rebuilt session keeps its id and
 /// records the old digest as its parent.
 fn cmd_reload(state: &Arc<ServerState>, rest: &str) -> Response {
-    let Some((id_text, path)) = rest.split_once(char::is_whitespace) else {
+    let (id_text, path) = first_word(rest);
+    if path.is_empty() {
         return Response::err("RELOAD takes <session-id> <spec-path>");
-    };
-    let path = path.trim();
+    }
     let old = match state.session(id_text) {
         Ok(s) => s,
         Err(e) => return e,
@@ -1223,12 +1237,11 @@ fn cmd_analyze(state: &Arc<ServerState>, rest: &str) -> Response {
 }
 
 fn cmd_eval(state: &Arc<ServerState>, rest: &str) -> Response {
-    let mut parts = rest.splitn(3, char::is_whitespace);
-    let (Some(id_text), Some(point_text), Some(formula_text)) =
-        (parts.next(), parts.next(), parts.next().map(str::trim))
-    else {
+    let (id_text, rest) = first_word(rest);
+    let (point_text, formula_text) = first_word(rest);
+    if formula_text.is_empty() {
         return Response::err("EVAL takes <session-id> <run:time|time> <formula>");
-    };
+    }
     let session = match state.session(id_text) {
         Ok(s) => s,
         Err(e) => return e,
@@ -1289,16 +1302,13 @@ fn eval_response(session: &Session, point_text: &str, formula_text: &str) -> Res
         Rc::new(RefCell::new(session.warmed.clone())),
     );
     match sem.eval(Point::new(ri, k), &phi) {
-        Ok(verdict) => Response::from_text(&format!("at (run {ri}, time {k}): {phi} = {verdict}")),
+        Ok(verdict) => Response::from_text(&verdict_line(Point::new(ri, k), &phi, verdict)),
         Err(e) => Response::err(e.to_string()),
     }
 }
 
 fn cmd_inject(state: &Arc<ServerState>, rest: &str) -> Response {
-    let (id_text, flags_text) = match rest.split_once(char::is_whitespace) {
-        Some((id, flags)) => (id, flags.trim()),
-        None => (rest, ""),
-    };
+    let (id_text, flags_text) = first_word(rest);
     if id_text.is_empty() {
         return Response::err("INJECT takes <session-id> [fault-flags]");
     }
@@ -1319,7 +1329,7 @@ fn cmd_inject(state: &Arc<ServerState>, rest: &str) -> Response {
         return hit;
     }
 
-    let (resp, exec_hit) = match parse_plan_flags(flags_text) {
+    let (resp, exec_hit) = match inject_request(flags_text) {
         Err(msg) => (Response::err(msg), false),
         Ok(req) => match inject_report(&session.at, &req, &state.pool, &state.exec_cache) {
             Ok(outcome) => (Response::from_text(&outcome.report), outcome.cache_hit),
@@ -1339,199 +1349,16 @@ fn cmd_inject(state: &Arc<ServerState>, rest: &str) -> Response {
     resp
 }
 
-/// Parses the single-plan fault flags `INJECT` accepts — the same
-/// surface as non-sweep `atl inject` (no `--sweep`, no `--emit-trace`:
-/// the daemon neither grids nor writes files).
-fn parse_plan_flags(text: &str) -> Result<InjectRequest, String> {
-    let tokens: Vec<&str> = text.split_whitespace().collect();
-    let mut seed: u64 = 0;
-    let (mut drop, mut dup, mut delay, mut reorder, mut replay) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    let mut delay_rounds: u32 = 2;
-    let mut compromises: Vec<(Key, i64)> = Vec::new();
-    let mut patience: u32 = 6;
-    let mut retries: u32 = 2;
-    let mut public = false;
-    let mut it = tokens.iter();
-    let need = |it: &mut std::slice::Iter<'_, &str>, flag: &str| -> Result<String, String> {
-        it.next()
-            .map(|s| (*s).to_string())
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(tok) = it.next() {
-        match *tok {
-            "--seed" => {
-                seed = need(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--drop" => {
-                drop = need(&mut it, "--drop")?
-                    .parse()
-                    .map_err(|e| format!("--drop: {e}"))?;
-            }
-            "--dup" => {
-                dup = need(&mut it, "--dup")?
-                    .parse()
-                    .map_err(|e| format!("--dup: {e}"))?;
-            }
-            "--delay" => {
-                let v = need(&mut it, "--delay")?;
-                let (p, r) = match v.split_once(':') {
-                    Some((p, r)) => (
-                        p.to_string(),
-                        r.parse().map_err(|e| format!("--delay rounds: {e}"))?,
-                    ),
-                    None => (v, 2),
-                };
-                delay = p.parse().map_err(|e| format!("--delay: {e}"))?;
-                delay_rounds = r;
-            }
-            "--reorder" => {
-                reorder = need(&mut it, "--reorder")?
-                    .parse()
-                    .map_err(|e| format!("--reorder: {e}"))?;
-            }
-            "--replay" => {
-                replay = need(&mut it, "--replay")?
-                    .parse()
-                    .map_err(|e| format!("--replay: {e}"))?;
-            }
-            "--compromise" => {
-                let v = need(&mut it, "--compromise")?;
-                let (key, t) = v
-                    .split_once('@')
-                    .ok_or("--compromise takes KEY@TIME, e.g. Kab@2")?;
-                compromises.push((
-                    Key::new(key),
-                    t.parse().map_err(|e| format!("--compromise time: {e}"))?,
-                ));
-            }
-            "--patience" => {
-                patience = need(&mut it, "--patience")?
-                    .parse()
-                    .map_err(|e| format!("--patience: {e}"))?;
-            }
-            "--retries" => {
-                retries = need(&mut it, "--retries")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?;
-            }
-            "--public" => public = true,
-            other => {
-                return Err(format!(
-                "unknown inject flag {other:?} (serve-mode inject takes single-plan fault flags)"
-            ))
-            }
-        }
-    }
-    let mut plan = FaultPlan::new(seed)
-        .drop(drop)
-        .duplicate(dup)
-        .delay(delay, delay_rounds)
-        .reorder(reorder)
-        .replay(replay);
-    plan.compromises = compromises;
-    let policy = if retries > 0 {
-        ExpectPolicy::resend_after(patience, retries)
-    } else {
-        ExpectPolicy::skip_after(patience)
-    };
-    Ok(InjectRequest {
-        plan,
-        policy,
-        options: ExecOptions {
-            public_channel: public,
-            ..ExecOptions::default()
-        },
+/// Reads `INJECT`'s flags: the fault flags of `atl inject`, through the
+/// same parser, so both answer a bad flag with the same text. INJECT
+/// takes nothing else.
+fn inject_request(flags: &str) -> Result<InjectRequest, String> {
+    PlanFlags::parse(flags.split_whitespace(), |flag, _| {
+        Err(format!(
+            "unknown inject flag {flag:?} (serve-mode inject takes single-plan fault flags)"
+        ))
     })
-}
-
-/// Renders an [`ExpectPolicy`] for the `SWEEP` request line:
-/// `<patience|->:<stall|skip|resend:<retries>>`.
-pub(crate) fn render_policy(policy: &ExpectPolicy) -> String {
-    let patience = match policy.patience {
-        Some(p) => p.to_string(),
-        None => "-".to_string(),
-    };
-    let timeout = match policy.on_timeout {
-        OnTimeout::Stall => "stall".to_string(),
-        OnTimeout::Skip => "skip".to_string(),
-        OnTimeout::Resend { max_retries } => format!("resend:{max_retries}"),
-    };
-    format!("{patience}:{timeout}")
-}
-
-fn parse_policy(text: &str) -> Result<ExpectPolicy, String> {
-    let (patience, timeout) = text
-        .split_once(':')
-        .ok_or_else(|| format!("bad policy {text:?}"))?;
-    let patience = match patience {
-        "-" => None,
-        p => Some(p.parse().map_err(|e| format!("policy patience: {e}"))?),
-    };
-    let on_timeout = match timeout {
-        "stall" => OnTimeout::Stall,
-        "skip" => OnTimeout::Skip,
-        resend => match resend.split_once(':') {
-            Some(("resend", r)) => OnTimeout::Resend {
-                max_retries: r.parse().map_err(|e| format!("policy retries: {e}"))?,
-            },
-            _ => return Err(format!("bad policy timeout {timeout:?}")),
-        },
-    };
-    Ok(ExpectPolicy {
-        patience,
-        on_timeout,
-    })
-}
-
-/// Renders [`ExecOptions`] for the `SWEEP` request line:
-/// `<start-time>:<0|1 public>:<schedule csv|->`.
-pub(crate) fn render_exec_options(options: &ExecOptions) -> String {
-    let schedule = if options.schedule.is_empty() {
-        "-".to_string()
-    } else {
-        options
-            .schedule
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    format!(
-        "{}:{}:{}",
-        options.start_time,
-        u8::from(options.public_channel),
-        schedule
-    )
-}
-
-fn parse_exec_options(text: &str) -> Result<ExecOptions, String> {
-    let mut parts = text.split(':');
-    let (Some(start), Some(public), Some(schedule), None) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
-        return Err(format!("bad options {text:?}"));
-    };
-    let schedule = if schedule == "-" {
-        Vec::new()
-    } else {
-        schedule
-            .split(',')
-            .map(|s| s.parse().map_err(|e| format!("options schedule: {e}")))
-            .collect::<Result<Vec<usize>, String>>()?
-    };
-    Ok(ExecOptions {
-        start_time: start
-            .parse()
-            .map_err(|e| format!("options start time: {e}"))?,
-        public_channel: match public {
-            "0" => false,
-            "1" => true,
-            other => return Err(format!("options public flag {other:?} is not 0/1")),
-        },
-        schedule,
-    })
+    .and_then(|flags| flags.request())
 }
 
 /// `SWEEP <id> policy=<p> options=<o> plans=<plan>;<plan>;…` — the
@@ -1542,10 +1369,7 @@ fn parse_exec_options(text: &str) -> Result<ExecOptions, String> {
 /// wire-rendered outcome per plan, in request order, keyed by
 /// fingerprint digest.
 fn cmd_sweep(state: &Arc<ServerState>, rest: &str) -> Response {
-    let (id_text, rest) = match rest.split_once(char::is_whitespace) {
-        Some((id, rest)) => (id, rest.trim()),
-        None => (rest, ""),
-    };
+    let (id_text, rest) = first_word(rest);
     if id_text.is_empty() {
         return Response::err("SWEEP takes <session-id> policy=<p> options=<o> plans=<plans>");
     }
@@ -1553,34 +1377,10 @@ fn cmd_sweep(state: &Arc<ServerState>, rest: &str) -> Response {
         Ok(s) => s,
         Err(e) => return e,
     };
-    let Some((head, plans_text)) = rest.split_once("plans=") else {
-        return Response::err("SWEEP needs a plans= field");
+    let (policy, options, plans) = match parse_sweep_request(rest) {
+        Ok(request) => request,
+        Err(msg) => return Response::err(msg),
     };
-    let (mut policy, mut options) = (None, None);
-    for token in head.split_whitespace() {
-        let Some((field, value)) = token.split_once('=') else {
-            return Response::err(format!("bad SWEEP field {token:?}"));
-        };
-        let parsed = match field {
-            "policy" => parse_policy(value).map(|p| policy = Some(p)),
-            "options" => parse_exec_options(value).map(|o| options = Some(o)),
-            other => Err(format!("unknown SWEEP field {other:?}")),
-        };
-        if let Err(msg) = parsed {
-            return Response::err(msg);
-        }
-    }
-    let (Some(policy), Some(options)) = (policy, options) else {
-        return Response::err("SWEEP needs policy= and options= before plans=");
-    };
-    let plans = match parse_plan_list(plans_text) {
-        Ok(plans) => plans,
-        Err(e) => return Response::err(e.to_string()),
-    };
-    if plans.is_empty() {
-        return Response::err("SWEEP shard carries no plans");
-    }
-
     let proto = enact_with(
         &session.at,
         EnactOptions {
@@ -1588,17 +1388,7 @@ fn cmd_sweep(state: &Arc<ServerState>, rest: &str) -> Response {
         },
     );
     let outcome = sweep_plans_on(&proto, &options, &plans, &state.pool, &state.exec_cache);
-    let mut lines = vec![format!("plans {}", outcome.results.len())];
-    for (i, r) in outcome.results.iter().enumerate() {
-        let rendered = render_outcome(&r.outcome);
-        let body: Vec<&str> = rendered.lines().collect();
-        lines.push(format!(
-            "outcome {i} fp={:016x} lines={}",
-            r.fingerprint.digest(),
-            body.len()
-        ));
-        lines.extend(body.into_iter().map(str::to_string));
-    }
+    let lines = render_sweep_response(&outcome.results);
     let mut store = state.store();
     store.stats.sweep_served += 1;
     store.stats.sweep_plans += plans.len() as u64;
@@ -1615,10 +1405,7 @@ fn cmd_sweep(state: &Arc<ServerState>, rest: &str) -> Response {
 /// is the deterministic report `atl hunt` would print for the same
 /// seed and budget.
 fn cmd_hunt(state: &Arc<ServerState>, rest: &str) -> Response {
-    let (id_text, rest) = match rest.split_once(char::is_whitespace) {
-        Some((id, rest)) => (id, rest.trim()),
-        None => (rest, ""),
-    };
+    let (id_text, rest) = first_word(rest);
     if id_text.is_empty() {
         return Response::err("HUNT takes <session-id> [seed=N] [budget=N] [batch=N]");
     }
@@ -1626,17 +1413,26 @@ fn cmd_hunt(state: &Arc<ServerState>, rest: &str) -> Response {
         Ok(s) => s,
         Err(e) => return e,
     };
-    let (mut seed, mut budget, mut batch) = (0u64, 256usize, 32usize);
+    // `atl hunt`'s `--seed`/`--budget`/`--batch`, from the same defaults.
+    let mut settings = HuntSettings::default();
+    settings.config.space = default_space(&session.at);
     for token in rest.split_whitespace() {
         let Some((field, value)) = token.split_once('=') else {
             return Response::err(format!("bad HUNT field {token:?}"));
         };
+        let config = &mut settings.config;
         let parsed = match field {
-            "seed" => value.parse().map(|v| seed = v).map_err(|e| e.to_string()),
-            "budget" => value.parse().map(|v| budget = v).map_err(|e| e.to_string()),
+            "seed" => value
+                .parse()
+                .map(|v| config.seed = v)
+                .map_err(|e| e.to_string()),
+            "budget" => value
+                .parse()
+                .map(|v| config.budget = v)
+                .map_err(|e| e.to_string()),
             "batch" => value
                 .parse()
-                .map(|v: usize| batch = v.max(1))
+                .map(|v: usize| config.batch = v.max(1))
                 .map_err(|e| e.to_string()),
             other => Err(format!("unknown HUNT field {other:?}")),
         };
@@ -1644,16 +1440,6 @@ fn cmd_hunt(state: &Arc<ServerState>, rest: &str) -> Response {
             return Response::err(format!("bad HUNT {field}: {msg}"));
         }
     }
-    let settings = HuntSettings {
-        config: HuntConfig {
-            seed,
-            budget,
-            batch,
-            space: default_space(&session.at),
-            seed_plans: Vec::new(),
-        },
-        ..HuntSettings::default()
-    };
     let report = hunt_report(&session.at, &settings, &state.pool, &state.exec_cache, None);
     let (executed, classes) = (
         report.outcome.stats.executed as u64,
@@ -2194,7 +1980,9 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atl_model::PlanFingerprint;
+    use atl_lang::Key;
+    use atl_model::wire::{render_exec_options, render_policy};
+    use atl_model::{ExpectPolicy, PlanFingerprint};
 
     fn start_test_server(max_sessions: usize) -> Server {
         Server::start(ServeConfig {
@@ -2242,6 +2030,49 @@ mod tests {
         let resp = Response::from_text("session 12: protocol toy (1 assumption(s), …)");
         assert_eq!(resp.session_id(), Some(12));
         assert_eq!(Response::err("nope").session_id(), None);
+    }
+
+    #[test]
+    fn plan_flags_parse_like_the_cli() {
+        let req = inject_request("--seed 9 --drop 0.5 --delay 0.25:3 --compromise Kab@2")
+            .expect("valid flags");
+        assert_eq!(req.plan.seed, 9);
+        assert_eq!(req.plan.compromises, vec![(Key::new("Kab"), 2)]);
+        assert!(inject_request("--sweep").is_err());
+        assert!(inject_request("--drop").is_err());
+        assert!(inject_request("--drop nan-ish").is_err());
+    }
+
+    #[test]
+    fn inject_flag_errors_name_the_flag() {
+        for (flags, message) in [
+            ("--seed x", "--seed: invalid digit found in string"),
+            ("--drop x", "--drop: invalid float literal"),
+            (
+                "--drop 0.5,0.6",
+                "--drop lists multiple steps; use --sweep to grid them",
+            ),
+            (
+                "--delay 0.5:x",
+                "--delay rounds: invalid digit found in string",
+            ),
+            (
+                "--compromise Kab",
+                "--compromise takes KEY@TIME, e.g. Kab@2",
+            ),
+            (
+                "--compromise Kab@x",
+                "--compromise time: invalid digit found in string",
+            ),
+            ("--patience -1", "--patience: invalid digit found in string"),
+            ("--retries", "--retries needs a value"),
+            (
+                "--seed 1 --emit-trace x",
+                "unknown inject flag \"--emit-trace\" (serve-mode inject takes single-plan fault flags)",
+            ),
+        ] {
+            assert_eq!(inject_request(flags).map(|_| ()), Err(message.into()));
+        }
     }
 
     #[test]
@@ -2300,52 +2131,6 @@ mod tests {
         for p in specs {
             let _ = std::fs::remove_file(p);
         }
-    }
-
-    #[test]
-    fn plan_flags_parse_like_the_cli() {
-        let req = parse_plan_flags("--seed 9 --drop 0.5 --delay 0.25:3 --compromise Kab@2")
-            .expect("valid flags");
-        assert_eq!(req.plan.seed, 9);
-        assert_eq!(req.plan.compromises, vec![(Key::new("Kab"), 2)]);
-        assert!(parse_plan_flags("--sweep").is_err());
-        assert!(parse_plan_flags("--drop").is_err());
-        assert!(parse_plan_flags("--drop nan-ish").is_err());
-    }
-
-    #[test]
-    fn policy_and_options_render_parse_round_trip() {
-        for policy in [
-            ExpectPolicy::wait_forever(),
-            ExpectPolicy::skip_after(7),
-            ExpectPolicy::resend_after(3, 2),
-            ExpectPolicy {
-                patience: Some(4),
-                on_timeout: OnTimeout::Stall,
-            },
-        ] {
-            let rendered = render_policy(&policy);
-            assert_eq!(parse_policy(&rendered), Ok(policy), "{rendered}");
-        }
-        assert!(parse_policy("7").is_err());
-        assert!(parse_policy("x:skip").is_err());
-        assert!(parse_policy("3:resend").is_err());
-        for options in [
-            ExecOptions::default(),
-            ExecOptions {
-                start_time: -4,
-                public_channel: true,
-                schedule: vec![1, 0, 1],
-            },
-        ] {
-            let rendered = render_exec_options(&options);
-            let parsed = parse_exec_options(&rendered).expect("options parse");
-            assert_eq!(parsed.start_time, options.start_time, "{rendered}");
-            assert_eq!(parsed.public_channel, options.public_channel);
-            assert_eq!(parsed.schedule, options.schedule);
-        }
-        assert!(parse_exec_options("0:2:-").is_err());
-        assert!(parse_exec_options("0:1").is_err());
     }
 
     #[test]

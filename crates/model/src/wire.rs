@@ -11,6 +11,13 @@
 //! computed one, so distributed sweep reports stay byte-identical to
 //! single-process ones.
 //!
+//! The `SWEEP` exchange itself is framed here as well, so the fabric
+//! coordinator and the daemon speak one codec: [`render_sweep_request`]
+//! and [`parse_sweep_request`] carry the request body (expect policy,
+//! executor options, plan list), and [`render_sweep_response`] and
+//! [`parse_sweep_response`] the `plans <n>` / `outcome <i> fp=<hex>
+//! lines=<n>` response.
+//!
 //! Renderings are ASCII, one logical record per line. Free-form text
 //! (fault details, key names, error messages) is percent-escaped so a
 //! record never gains an accidental newline or field separator; runs are
@@ -25,9 +32,11 @@
 //! outcome store treats any [`WireError`] as "discard and recompute".
 
 use crate::error::ModelError;
+use crate::executor::ExecOptions;
 use crate::faults::{AbandonedStep, ExecReport, FaultEvent, FaultKind, FaultPlan};
+use crate::protocol::{ExpectPolicy, OnTimeout};
 use crate::store::{parse_frame, render_frame};
-use crate::sweep::ExecOutcome;
+use crate::sweep::{ExecOutcome, PlanResult};
 use crate::trace::{parse_trace, render_trace};
 use atl_lang::{Key, Principal};
 use std::error::Error;
@@ -226,6 +235,250 @@ pub fn parse_plan_list(text: &str) -> Result<Vec<FaultPlan>, WireError> {
         .filter(|part| !part.is_empty())
         .map(parse_plan)
         .collect()
+}
+
+/// Renders an [`ExpectPolicy`] for the `SWEEP` request line:
+/// `<patience|->:<stall|skip|resend:<retries>>`.
+pub fn render_policy(policy: &ExpectPolicy) -> String {
+    let patience = match policy.patience {
+        Some(p) => p.to_string(),
+        None => "-".to_string(),
+    };
+    let timeout = match policy.on_timeout {
+        OnTimeout::Stall => "stall".to_string(),
+        OnTimeout::Skip => "skip".to_string(),
+        OnTimeout::Resend { max_retries } => format!("resend:{max_retries}"),
+    };
+    format!("{patience}:{timeout}")
+}
+
+/// Reverses [`render_policy`].
+///
+/// # Errors
+///
+/// The daemon's `ERR` text for a malformed policy.
+fn parse_policy(text: &str) -> Result<ExpectPolicy, String> {
+    let (patience, timeout) = text
+        .split_once(':')
+        .ok_or_else(|| format!("bad policy {text:?}"))?;
+    let patience = match patience {
+        "-" => None,
+        p => Some(p.parse().map_err(|e| format!("policy patience: {e}"))?),
+    };
+    let on_timeout = match timeout {
+        "stall" => OnTimeout::Stall,
+        "skip" => OnTimeout::Skip,
+        resend => match resend.split_once(':') {
+            Some(("resend", r)) => OnTimeout::Resend {
+                max_retries: r.parse().map_err(|e| format!("policy retries: {e}"))?,
+            },
+            _ => return Err(format!("bad policy timeout {timeout:?}")),
+        },
+    };
+    Ok(ExpectPolicy {
+        patience,
+        on_timeout,
+    })
+}
+
+/// Renders [`ExecOptions`] for the `SWEEP` request line:
+/// `<start-time>:<0|1 public>:<schedule csv|->`.
+pub fn render_exec_options(options: &ExecOptions) -> String {
+    let schedule = if options.schedule.is_empty() {
+        "-".to_string()
+    } else {
+        options
+            .schedule
+            .iter()
+            .map(usize::to_string)
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    format!(
+        "{}:{}:{}",
+        options.start_time,
+        u8::from(options.public_channel),
+        schedule
+    )
+}
+
+/// Reverses [`render_exec_options`].
+///
+/// # Errors
+///
+/// The daemon's `ERR` text for malformed options.
+fn parse_exec_options(text: &str) -> Result<ExecOptions, String> {
+    let mut parts = text.split(':');
+    let (Some(start), Some(public), Some(schedule), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return Err(format!("bad options {text:?}"));
+    };
+    let schedule = if schedule == "-" {
+        Vec::new()
+    } else {
+        schedule
+            .split(',')
+            .map(|s| s.parse().map_err(|e| format!("options schedule: {e}")))
+            .collect::<Result<Vec<usize>, String>>()?
+    };
+    Ok(ExecOptions {
+        start_time: start
+            .parse()
+            .map_err(|e| format!("options start time: {e}"))?,
+        public_channel: match public {
+            "0" => false,
+            "1" => true,
+            other => return Err(format!("options public flag {other:?} is not 0/1")),
+        },
+        schedule,
+    })
+}
+
+/// Renders the body of a `SWEEP` request, everything after the session
+/// id: `policy=<p> options=<o> plans=<plan>;<plan>;…`, where each plan
+/// is its [`render_plan`] line.
+pub fn render_sweep_request<'a>(
+    policy: &ExpectPolicy,
+    options: &ExecOptions,
+    plan_lines: impl IntoIterator<Item = &'a str>,
+) -> String {
+    let mut body = format!(
+        "policy={} options={} plans=",
+        render_policy(policy),
+        render_exec_options(options)
+    );
+    for (i, line) in plan_lines.into_iter().enumerate() {
+        if i > 0 {
+            body.push(';');
+        }
+        body.push_str(line);
+    }
+    body
+}
+
+/// Reverses [`render_sweep_request`]. `policy=` and `options=` may come
+/// in either order, but both before `plans=`, which takes the rest of
+/// the line.
+///
+/// # Errors
+///
+/// The daemon's `ERR` text for a malformed request, or for one that
+/// carries no plans.
+pub fn parse_sweep_request(
+    text: &str,
+) -> Result<(ExpectPolicy, ExecOptions, Vec<FaultPlan>), String> {
+    let (head, plans_text) = text
+        .split_once("plans=")
+        .ok_or("SWEEP needs a plans= field")?;
+    let (mut policy, mut options) = (None, None);
+    for token in head.split_whitespace() {
+        let (field, value) = token
+            .split_once('=')
+            .ok_or_else(|| format!("bad SWEEP field {token:?}"))?;
+        match field {
+            "policy" => policy = Some(parse_policy(value)?),
+            "options" => options = Some(parse_exec_options(value)?),
+            other => return Err(format!("unknown SWEEP field {other:?}")),
+        }
+    }
+    let (Some(policy), Some(options)) = (policy, options) else {
+        return Err("SWEEP needs policy= and options= before plans=".to_string());
+    };
+    let plans = parse_plan_list(plans_text).map_err(|e| e.to_string())?;
+    if plans.is_empty() {
+        return Err("SWEEP shard carries no plans".to_string());
+    }
+    Ok((policy, options, plans))
+}
+
+/// Renders the payload of a `SWEEP` response: `plans <n>`, then for each
+/// result in order an `outcome <i> fp=<digest:016x> lines=<n>` header
+/// followed by the `n` lines of its [`render_outcome`].
+pub fn render_sweep_response(results: &[PlanResult]) -> Vec<String> {
+    let mut lines = vec![format!("plans {}", results.len())];
+    for (i, r) in results.iter().enumerate() {
+        let rendered = render_outcome(&r.outcome);
+        let body: Vec<&str> = rendered.lines().collect();
+        lines.push(format!(
+            "outcome {i} fp={:016x} lines={}",
+            r.fingerprint.digest(),
+            body.len()
+        ));
+        lines.extend(body.into_iter().map(str::to_string));
+    }
+    lines
+}
+
+/// Reverses [`render_sweep_response`] into one outcome per expected
+/// plan, verifying the count, the ordering, and each fingerprint digest
+/// against `expected` — a worker answering for the wrong plans (stale
+/// spec, broken dedup) is an error, not silent corruption.
+///
+/// # Errors
+///
+/// What is wrong with the response, as text.
+pub fn parse_sweep_response(
+    lines: &[String],
+    expected: &[u64],
+) -> Result<Vec<ExecOutcome>, String> {
+    let mut it = lines.iter();
+    let header = it.next().ok_or("empty SWEEP response")?;
+    let count: usize = header
+        .strip_prefix("plans ")
+        .and_then(|n| n.parse().ok())
+        .ok_or_else(|| format!("bad SWEEP response header {header:?}"))?;
+    if count != expected.len() {
+        return Err(format!(
+            "SWEEP response carries {count} outcome(s), expected {}",
+            expected.len()
+        ));
+    }
+    let mut outcomes = Vec::with_capacity(count);
+    for (i, &digest) in expected.iter().enumerate() {
+        let head = it
+            .next()
+            .ok_or_else(|| format!("truncated SWEEP response at outcome {i}"))?;
+        let mut parts = head.split_whitespace();
+        let (Some("outcome"), Some(idx), Some(fp), Some(len), None) = (
+            parts.next(),
+            parts.next(),
+            parts.next(),
+            parts.next(),
+            parts.next(),
+        ) else {
+            return Err(format!("bad outcome header {head:?}"));
+        };
+        if idx.parse() != Ok(i) {
+            return Err(format!("outcome {i} answered out of order: {head:?}"));
+        }
+        let fp = fp
+            .strip_prefix("fp=")
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .ok_or_else(|| format!("bad fingerprint in {head:?}"))?;
+        if fp != digest {
+            return Err(format!(
+                "outcome {i} fingerprint {fp:016x} does not match expected {digest:016x}"
+            ));
+        }
+        let len: usize = len
+            .strip_prefix("lines=")
+            .and_then(|n| n.parse().ok())
+            .ok_or_else(|| format!("bad line count in {head:?}"))?;
+        let mut body = String::new();
+        for _ in 0..len {
+            body.push_str(
+                it.next()
+                    .ok_or_else(|| format!("truncated outcome {i} body"))?,
+            );
+            body.push('\n');
+        }
+        outcomes.push(parse_outcome(&body).map_err(|e| e.to_string())?);
+    }
+    if it.next().is_some() {
+        return Err("trailing lines after SWEEP response".to_string());
+    }
+    Ok(outcomes)
 }
 
 /// Renders one execution outcome as framed text (every line
@@ -577,6 +830,150 @@ mod tests {
             "seed=1 probs=0,0,0,0,0 rounds=2 frob=1",
         ] {
             assert!(parse_plan(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn policy_and_options_render_parse_round_trip() {
+        for policy in [
+            ExpectPolicy::wait_forever(),
+            ExpectPolicy::skip_after(7),
+            ExpectPolicy::resend_after(3, 2),
+            ExpectPolicy {
+                patience: Some(4),
+                on_timeout: OnTimeout::Stall,
+            },
+        ] {
+            let rendered = render_policy(&policy);
+            assert_eq!(parse_policy(&rendered), Ok(policy), "{rendered}");
+        }
+        assert!(parse_policy("7").is_err());
+        assert!(parse_policy("x:skip").is_err());
+        assert!(parse_policy("3:resend").is_err());
+        for options in [
+            ExecOptions::default(),
+            ExecOptions {
+                start_time: -4,
+                public_channel: true,
+                schedule: vec![1, 0, 1],
+            },
+        ] {
+            let rendered = render_exec_options(&options);
+            let parsed = parse_exec_options(&rendered).expect("options parse");
+            assert_eq!(parsed.start_time, options.start_time, "{rendered}");
+            assert_eq!(parsed.public_channel, options.public_channel);
+            assert_eq!(parsed.schedule, options.schedule);
+        }
+        assert!(parse_exec_options("0:2:-").is_err());
+        assert!(parse_exec_options("0:1").is_err());
+    }
+
+    #[test]
+    fn sweep_request_round_trips_and_rejects_malformed_bodies() {
+        let plans = [FaultPlan::new(0), FaultPlan::new(1).drop(1.0)];
+        let policy = ExpectPolicy::skip_after(3);
+        let options = ExecOptions {
+            public_channel: true,
+            ..ExecOptions::default()
+        };
+        let lines: Vec<String> = plans.iter().map(render_plan).collect();
+        let body = render_sweep_request(&policy, &options, lines.iter().map(String::as_str));
+        let (p, o, back) = parse_sweep_request(&body).expect("request parses");
+        assert_eq!(
+            (p, o.public_channel, back.as_slice()),
+            (policy, true, &plans[..])
+        );
+        // The hand-written form other clients send parses too.
+        let hand = format!(
+            "options=0:0:- policy=6:resend:2 plans={}",
+            render_plan(&plans[0])
+        );
+        assert_eq!(
+            parse_sweep_request(&hand).expect("hand-written request").0,
+            ExpectPolicy::resend_after(6, 2)
+        );
+        for (bad, message) in [
+            ("policy=3:skip options=0:0:-", "SWEEP needs a plans= field"),
+            (
+                "policy=3:skip plans=seed=0",
+                "SWEEP needs policy= and options= before plans=",
+            ),
+            (
+                "policy=3:skip options=0:0:- plans=",
+                "SWEEP shard carries no plans",
+            ),
+            ("policy options=0:0:- plans=", "bad SWEEP field \"policy\""),
+            ("frob=1 plans=", "unknown SWEEP field \"frob\""),
+        ] {
+            assert_eq!(
+                parse_sweep_request(bad).map(|_| ()),
+                Err(message.to_string()),
+                "{bad}"
+            );
+        }
+        assert!(parse_sweep_request("policy=3:skip options=0:0:- plans=garbage").is_err());
+    }
+
+    #[test]
+    fn sweep_response_decoding_rejects_mismatches() {
+        let lines = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
+        // Wrong count, bad header, fingerprint mismatch, truncation.
+        assert!(parse_sweep_response(&lines(&[]), &[1]).is_err());
+        assert!(parse_sweep_response(&lines(&["plans 2"]), &[1]).is_err());
+        assert!(parse_sweep_response(&lines(&["plans 1", "huh"]), &[1]).is_err());
+        assert!(parse_sweep_response(
+            &lines(&["plans 1", "outcome 0 fp=00000000000000ff lines=1", "err %"]),
+            &[1]
+        )
+        .is_err());
+        assert!(parse_sweep_response(
+            &lines(&["plans 1", "outcome 0 fp=0000000000000001 lines=3", "err %"]),
+            &[1]
+        )
+        .is_err());
+        // A well-formed error outcome decodes.
+        let ok = parse_sweep_response(
+            &lines(&[
+                "plans 1",
+                "outcome 0 fp=0000000000000001 lines=1",
+                "err boom",
+            ]),
+            &[1],
+        )
+        .expect("decode");
+        assert_eq!(ok[0].as_ref().expect_err("err").to_string(), "boom");
+        // Trailing garbage is rejected.
+        assert!(parse_sweep_response(
+            &lines(&[
+                "plans 1",
+                "outcome 0 fp=0000000000000001 lines=1",
+                "err boom",
+                "extra"
+            ]),
+            &[1]
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn sweep_response_round_trips_executed_plans() {
+        let plans = [FaultPlan::new(0), FaultPlan::new(3).drop(0.6)];
+        let outcome = crate::sweep::sweep_plans_on(
+            &lossy(),
+            &ExecOptions::default(),
+            &plans,
+            &crate::parallel::Pool::sequential(),
+            &crate::sweep::ExecutionCache::new(),
+        );
+        let lines = render_sweep_response(&outcome.results);
+        let digests: Vec<u64> = outcome
+            .results
+            .iter()
+            .map(|r| r.fingerprint.digest())
+            .collect();
+        let back = parse_sweep_response(&lines, &digests).expect("response parses");
+        for (r, parsed) in outcome.results.iter().zip(&back) {
+            assert_eq!(parsed, r.outcome.as_ref());
         }
     }
 

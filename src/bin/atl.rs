@@ -99,6 +99,7 @@
 
 use atl::core::annotate::{analyze_at, render_analysis};
 use atl::core::parallel::Pool;
+use atl::core::request::{flag_text, flag_value, parse_steps, parse_value, PlanFlags};
 use atl::core::spec::parse_spec;
 use atl::core::theorems;
 use atl::lang::parser::parse_formula;
@@ -130,13 +131,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let result = match args.first().map(String::as_str) {
-        Some("analyze") => cmd_analyze(args.get(1)),
-        Some("trace") => cmd_trace(args.get(1), args.get(2)),
+    let arg = |i: usize| args.get(i).map(String::as_str);
+    let result = match arg(0) {
+        Some("analyze") => cmd_analyze(arg(1)),
+        Some("trace") => cmd_trace(arg(1), arg(2)),
         Some("suite") => cmd_suite(&pool),
-        Some("proof") => cmd_proof(args.get(1)),
-        Some("check-run") => cmd_check_run(args.get(1)),
-        Some("eval") => cmd_eval(args.get(1), args.get(2), args.get(3)),
+        Some("proof") => cmd_proof(arg(1)),
+        Some("check-run") => cmd_check_run(arg(1)),
+        Some("eval") => cmd_eval(arg(1), arg(2), arg(3)),
         Some("monitor") => cmd_monitor(&args[1..], &pool),
         Some("inject") => cmd_inject(&args[1..], &pool),
         Some("hunt") => cmd_hunt(&args[1..], &pool),
@@ -174,11 +176,7 @@ fn take_jobs(args: &mut Vec<String>) -> Result<Pool, Box<dyn std::error::Error>>
     let Some(i) = args.iter().position(|a| a == "--jobs") else {
         return Ok(Pool::auto());
     };
-    let n: usize = args
-        .get(i + 1)
-        .ok_or("--jobs needs a value")?
-        .parse()
-        .map_err(|e| format!("--jobs: {e}"))?;
+    let n: usize = flag_value("--jobs", &mut args[i + 1..].iter().map(String::as_str))?;
     if n == 0 {
         return Err("--jobs must be at least 1".into());
     }
@@ -186,31 +184,28 @@ fn take_jobs(args: &mut Vec<String>) -> Result<Pool, Box<dyn std::error::Error>>
     Ok(Pool::new(n))
 }
 
-fn load(path: Option<&String>) -> Result<(String, String), Box<dyn std::error::Error>> {
+fn load(path: Option<&str>) -> Result<(&str, String), Box<dyn std::error::Error>> {
     let path = path.ok_or("missing spec path")?;
-    Ok((path.clone(), std::fs::read_to_string(path)?))
+    Ok((path, std::fs::read_to_string(path)?))
 }
 
 /// Parses a spec, mapping failures to the exit-code-3 diagnostic.
 fn parse_spec_diag(
-    path: Option<&String>,
+    path: Option<&str>,
 ) -> Result<(atl::core::annotate::AtProtocol, atl::lang::parser::Symbols), Box<dyn std::error::Error>>
 {
     let (path, content) = load(path)?;
-    parse_spec(&content).map_err(|e| ParseDiag(e.diagnostic(&path)).into())
+    parse_spec(&content).map_err(|e| ParseDiag(e.diagnostic(path)).into())
 }
 
-fn cmd_analyze(path: Option<&String>) -> Result<bool, Box<dyn std::error::Error>> {
+fn cmd_analyze(path: Option<&str>) -> Result<bool, Box<dyn std::error::Error>> {
     let (proto, _) = parse_spec_diag(path)?;
     let analysis = analyze_at(&proto);
     print!("{}", render_analysis(&proto, &analysis));
     Ok(analysis.succeeded())
 }
 
-fn cmd_trace(
-    path: Option<&String>,
-    goal: Option<&String>,
-) -> Result<bool, Box<dyn std::error::Error>> {
+fn cmd_trace(path: Option<&str>, goal: Option<&str>) -> Result<bool, Box<dyn std::error::Error>> {
     let (proto, syms) = parse_spec_diag(path)?;
     let goal_text = goal.ok_or("missing goal formula")?;
     let goal = parse_formula(goal_text, &syms).map_err(|e| ParseDiag(e.diagnostic("<formula>")))?;
@@ -242,9 +237,9 @@ fn cmd_suite(pool: &Pool) -> Result<bool, Box<dyn std::error::Error>> {
     Ok(entries.iter().all(suite::SuiteEntry::matches_expectation))
 }
 
-fn cmd_check_run(path: Option<&String>) -> Result<bool, Box<dyn std::error::Error>> {
+fn cmd_check_run(path: Option<&str>) -> Result<bool, Box<dyn std::error::Error>> {
     let (path, content) = load(path)?;
-    let (run, _) = atl::model::parse_trace(&content).map_err(|e| ParseDiag(e.diagnostic(&path)))?;
+    let (run, _) = atl::model::parse_trace(&content).map_err(|e| ParseDiag(e.diagnostic(path)))?;
     println!(
         "run: times {}..={}, {} events, {} sends",
         run.start_time(),
@@ -265,25 +260,26 @@ fn cmd_check_run(path: Option<&String>) -> Result<bool, Box<dyn std::error::Erro
 }
 
 fn cmd_eval(
-    path: Option<&String>,
-    formula: Option<&String>,
-    time: Option<&String>,
+    path: Option<&str>,
+    formula: Option<&str>,
+    time: Option<&str>,
 ) -> Result<bool, Box<dyn std::error::Error>> {
-    use atl::core::semantics::{GoodRuns, Semantics};
+    use atl::core::semantics::{verdict_line, GoodRuns, Semantics};
     use atl::model::{Point, System};
     let (path, content) = load(path)?;
     let (run, syms) =
-        atl::model::parse_trace(&content).map_err(|e| ParseDiag(e.diagnostic(&path)))?;
+        atl::model::parse_trace(&content).map_err(|e| ParseDiag(e.diagnostic(path)))?;
     let phi = parse_formula(formula.ok_or("missing formula")?, &syms)
         .map_err(|e| ParseDiag(e.diagnostic("<formula>")))?;
     let k: i64 = match time {
-        Some(t) => t.parse()?,
+        Some(t) => parse_value("TIME", t)?,
         None => run.horizon(),
     };
     let sys = System::new([run]);
     let sem = Semantics::new(&sys, GoodRuns::all_runs(&sys));
-    let verdict = sem.eval(Point::new(0, k), &phi)?;
-    println!("at (run 0, time {k}): {phi} = {verdict}");
+    let point = Point::new(0, k);
+    let verdict = sem.eval(point, &phi)?;
+    println!("{}", verdict_line(point, &phi, verdict));
     Ok(verdict)
 }
 
@@ -328,224 +324,73 @@ fn cmd_monitor(args: &[String], pool: &Pool) -> Result<bool, Box<dyn std::error:
     Ok(monitor.last_verdicts().iter().all(|v| *v))
 }
 
-/// Parsed flags for `atl inject`. Probability flags accept
-/// comma-separated step lists, which only `--sweep` may use; without it
-/// each must be a single value.
-struct InjectFlags {
-    path: Option<String>,
-    sweep: bool,
-    seed: u64,
-    seeds: u64,
-    drop: Vec<f64>,
-    dup: Vec<f64>,
-    delay: Vec<f64>,
-    delay_rounds: u32,
-    reorder: Vec<f64>,
-    replay: Vec<f64>,
-    compromises: Vec<(Key, i64)>,
-    patience: u32,
-    retries: u32,
-    public: bool,
-    emit_trace: Option<String>,
-    /// Fabric flags (sweep only): worker daemon addresses and the
-    /// persistent outcome store.
-    workers: Vec<String>,
-    store: Option<String>,
-    shard: usize,
-    deadline_ms: u64,
-    shard_retries: u32,
-    worker_failures: u32,
-    backoff_ms: u64,
-}
+/// `atl inject SPEC [flags]`: the fault flags go through the parser
+/// the daemon's `INJECT` uses; the sweep, fabric and `--emit-trace`
+/// flags are this command's own.
+fn cmd_inject(args: &[String], pool: &Pool) -> Result<bool, Box<dyn std::error::Error>> {
+    use atl::core::fabric::{fabric_sweep, FabricConfig};
+    use atl::core::inject::inject_report;
+    use atl::core::sweep::{fault_sweep, SweepConfig};
+    use atl::model::ExecutionCache;
+    use std::time::Duration;
 
-impl InjectFlags {
-    /// The single fault plan of a non-sweep invocation.
-    fn plan(&self) -> Result<atl::model::FaultPlan, Box<dyn std::error::Error>> {
-        let one = |name: &str, steps: &[f64]| -> Result<f64, Box<dyn std::error::Error>> {
-            match steps {
-                [] => Ok(0.0),
-                [p] => Ok(*p),
-                _ => Err(format!("{name} lists multiple steps; use --sweep to grid them").into()),
-            }
-        };
-        let mut plan = atl::model::FaultPlan::new(self.seed)
-            .drop(one("--drop", &self.drop)?)
-            .duplicate(one("--dup", &self.dup)?)
-            .delay(one("--delay", &self.delay)?, self.delay_rounds)
-            .reorder(one("--reorder", &self.reorder)?)
-            .replay(one("--replay", &self.replay)?);
-        plan.compromises = self.compromises.clone();
-        Ok(plan)
-    }
-
-    /// The plan grid of a `--sweep` invocation: `--seeds N` seeds
-    /// starting at `--seed`, the cartesian product of every step list,
-    /// and (when keys are compromised) both the clean and the
-    /// compromised schedule.
-    fn grid(&self) -> atl::model::SweepGrid {
-        let mut grid = atl::model::SweepGrid::new()
-            .seeds(self.seed..self.seed.saturating_add(self.seeds))
-            .drop_steps(self.drop.iter().copied())
-            .duplicate_steps(self.dup.iter().copied())
-            .delay_steps(self.delay.iter().copied(), self.delay_rounds)
-            .reorder_steps(self.reorder.iter().copied())
-            .replay_steps(self.replay.iter().copied());
-        if !self.compromises.is_empty() {
-            grid = grid
-                .compromise_choice([])
-                .compromise_choice(self.compromises.iter().cloned());
-        }
-        grid
-    }
-}
-
-fn parse_inject_flags(args: &[String]) -> Result<InjectFlags, Box<dyn std::error::Error>> {
-    let mut flags = InjectFlags {
-        path: None,
-        sweep: false,
-        seed: 0,
-        seeds: 4,
-        drop: Vec::new(),
-        dup: Vec::new(),
-        delay: Vec::new(),
-        delay_rounds: 2,
-        reorder: Vec::new(),
-        replay: Vec::new(),
-        compromises: Vec::new(),
-        patience: 6,
-        retries: 2,
-        public: false,
-        emit_trace: None,
-        workers: Vec::new(),
-        store: None,
-        shard: 16,
-        deadline_ms: 30_000,
-        shard_retries: 3,
-        worker_failures: 3,
-        backoff_ms: 50,
-    };
-    fn need<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, String> {
-        it.next()
-            .map(String::as_str)
-            .ok_or_else(|| format!("{flag} needs a value"))
-    }
-    fn steps(v: &str) -> Result<Vec<f64>, std::num::ParseFloatError> {
-        v.split(',').map(str::parse).collect()
-    }
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--sweep" => flags.sweep = true,
-            "--seed" => flags.seed = need(&mut it, "--seed")?.parse()?,
-            "--seeds" => flags.seeds = need(&mut it, "--seeds")?.parse()?,
-            "--drop" => flags.drop = steps(need(&mut it, "--drop")?)?,
-            "--dup" => flags.dup = steps(need(&mut it, "--dup")?)?,
-            "--delay" => {
-                let v = need(&mut it, "--delay")?;
-                let (p, rounds) = match v.split_once(':') {
-                    Some((p, r)) => (p, r.parse()?),
-                    None => (v, 2),
-                };
-                flags.delay = steps(p)?;
-                flags.delay_rounds = rounds;
-            }
-            "--reorder" => flags.reorder = steps(need(&mut it, "--reorder")?)?,
-            "--replay" => flags.replay = steps(need(&mut it, "--replay")?)?,
-            "--compromise" => {
-                let v = need(&mut it, "--compromise")?;
-                let (key, t) = v
-                    .split_once('@')
-                    .ok_or("--compromise takes KEY@TIME, e.g. Kab@2")?;
-                flags.compromises.push((Key::new(key), t.parse()?));
-            }
-            "--patience" => flags.patience = need(&mut it, "--patience")?.parse()?,
-            "--retries" => flags.retries = need(&mut it, "--retries")?.parse()?,
-            "--public" => flags.public = true,
-            "--emit-trace" => flags.emit_trace = Some(need(&mut it, "--emit-trace")?.to_string()),
+    let (mut path, mut sweep, mut seeds, mut emit_trace) = (None, false, 4, None);
+    let mut fabric = FabricConfig::default();
+    let flags = PlanFlags::parse(args.iter().map(String::as_str), |arg, rest| {
+        match arg {
+            "--sweep" => sweep = true,
+            "--seeds" => seeds = flag_value(arg, rest)?,
+            "--emit-trace" => emit_trace = Some(flag_text(arg, rest)?),
             "--workers" => {
-                flags.workers = need(&mut it, "--workers")?
+                fabric.workers = flag_text(arg, rest)?
                     .split(',')
                     .filter(|w| !w.is_empty())
                     .map(str::to_string)
                     .collect();
             }
-            "--store" => flags.store = Some(need(&mut it, "--store")?.to_string()),
-            "--shard" => flags.shard = need(&mut it, "--shard")?.parse()?,
-            "--deadline-ms" => flags.deadline_ms = need(&mut it, "--deadline-ms")?.parse()?,
-            "--shard-retries" => flags.shard_retries = need(&mut it, "--shard-retries")?.parse()?,
-            "--worker-failures" => {
-                flags.worker_failures = need(&mut it, "--worker-failures")?.parse()?;
+            "--store" => fabric.store = Some(flag_text(arg, rest)?.into()),
+            "--shard" => fabric.shard_plans = flag_value::<usize>(arg, rest)?.max(1),
+            "--deadline-ms" => {
+                fabric.deadline = Duration::from_millis(flag_value::<u64>(arg, rest)?.max(1));
             }
-            "--backoff-ms" => flags.backoff_ms = need(&mut it, "--backoff-ms")?.parse()?,
-            other if !other.starts_with("--") && flags.path.is_none() => {
-                flags.path = Some(other.to_string());
-            }
-            other => return Err(format!("unknown flag {other}").into()),
+            "--shard-retries" => fabric.shard_retries = flag_value(arg, rest)?,
+            "--worker-failures" => fabric.worker_failures = flag_value(arg, rest)?,
+            "--backoff-ms" => fabric.backoff = Duration::from_millis(flag_value(arg, rest)?),
+            other if !other.starts_with("--") && path.is_none() => path = Some(other),
+            other => return Err(format!("unknown flag {other}")),
         }
-    }
-    Ok(flags)
-}
+        Ok(())
+    })?;
+    let (at, _syms) = parse_spec_diag(path)?;
+    let fabric_flags = !fabric.workers.is_empty() || fabric.store.is_some();
 
-fn cmd_inject(args: &[String], pool: &Pool) -> Result<bool, Box<dyn std::error::Error>> {
-    use atl::core::inject::{inject_report, InjectRequest};
-    use atl::model::{ExecOptions, ExecutionCache, ExpectPolicy};
-
-    let flags = parse_inject_flags(args)?;
-    let (at, _syms) = parse_spec_diag(flags.path.as_ref())?;
-    let policy = if flags.retries > 0 {
-        ExpectPolicy::resend_after(flags.patience, flags.retries)
-    } else {
-        ExpectPolicy::skip_after(flags.patience)
-    };
-    let opts = ExecOptions {
-        public_channel: flags.public,
-        ..ExecOptions::default()
-    };
-
-    if flags.sweep {
-        use atl::core::sweep::{fault_sweep, SweepConfig};
+    if sweep {
         let config = SweepConfig {
-            grid: flags.grid(),
-            options: opts,
-            expect_policy: policy,
+            grid: flags.grid(seeds),
+            options: flags.options(),
+            expect_policy: flags.policy(),
         };
-        if !flags.workers.is_empty() || flags.store.is_some() {
-            use atl::core::fabric::{fabric_sweep, FabricConfig};
-            use std::time::Duration;
-            let fabric = FabricConfig {
-                workers: flags.workers.clone(),
-                store: flags.store.as_ref().map(std::path::PathBuf::from),
-                shard_plans: flags.shard.max(1),
-                deadline: Duration::from_millis(flags.deadline_ms.max(1)),
-                shard_retries: flags.shard_retries,
-                worker_failures: flags.worker_failures,
-                backoff: Duration::from_millis(flags.backoff_ms),
-            };
-            let spec_path = flags.path.as_ref().expect("spec parsed above");
-            let (report, fabric_stats) = fabric_sweep(&at, spec_path, &config, &fabric, pool)?;
-            eprintln!("{fabric_stats}");
-            print!("{report}");
-            return Ok(report.all_executed() && report.audit_violations == 0);
-        }
-        let report = fault_sweep(&at, &config, pool);
+        let report = match path {
+            Some(spec_path) if fabric_flags => {
+                let (report, fabric_stats) = fabric_sweep(&at, spec_path, &config, &fabric, pool)?;
+                eprintln!("{fabric_stats}");
+                report
+            }
+            _ => fault_sweep(&at, &config, pool),
+        };
         print!("{report}");
         return Ok(report.all_executed() && report.audit_violations == 0);
     }
-    if !flags.workers.is_empty() || flags.store.is_some() {
+    if fabric_flags {
         return Err("--workers/--store require --sweep".into());
     }
 
     // The single-plan report is shared with the serve daemon
     // (`atl_core::inject`); a one-shot invocation passes a fresh
     // execution cache.
-    let req = InjectRequest {
-        plan: flags.plan()?,
-        policy,
-        options: opts,
-    };
-    let outcome = inject_report(&at, &req, pool, &ExecutionCache::new())?;
+    let outcome = inject_report(&at, &flags.request()?, pool, &ExecutionCache::new())?;
     print!("{}", outcome.report);
-    if let Some(path) = &flags.emit_trace {
+    if let Some(path) = emit_trace {
         std::fs::write(path, atl::model::render_trace(&outcome.run))?;
         println!("trace written to {path}");
     }
@@ -556,96 +401,66 @@ fn cmd_inject(args: &[String], pool: &Pool) -> Result<bool, Box<dyn std::error::
 /// keys become compromise candidates automatically; the report lists
 /// one class per distinct belief-survival signature with its shrunk
 /// minimal plan. Exit code 0 when the hunt completes (finding attacks
-/// is the tool doing its job, not a failure).
+/// is the tool doing its job, not a failure). The fault flags go
+/// through `atl inject`'s parser, but the probabilities are the
+/// search's to choose, so the probability flags are refused.
 fn cmd_hunt(args: &[String], pool: &Pool) -> Result<bool, Box<dyn std::error::Error>> {
     use atl::core::hunt::{default_space, hunt_report, seeds_from_checkpoint, HuntSettings};
-    use atl::model::{ExecOptions, ExecutionCache, ExpectPolicy, FaultPlan, HuntConfig, HuntStore};
+    use atl::model::{ExecutionCache, HuntStore};
 
-    let mut path: Option<String> = None;
-    let mut seed: u64 = 0;
-    let mut budget: usize = 256;
-    let mut batch: usize = 32;
-    let mut steps: Option<Vec<f64>> = None;
-    let mut compromises: Vec<(Key, i64)> = Vec::new();
-    let mut store_dir: Option<String> = None;
-    let mut from_monitor: Option<String> = None;
-    let mut patience: u32 = 6;
-    let mut retries: u32 = 2;
-    let mut public = false;
-    fn need<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, String> {
-        it.next()
-            .map(String::as_str)
-            .ok_or_else(|| format!("{flag} needs a value"))
-    }
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => seed = need(&mut it, "--seed")?.parse()?,
-            "--budget" => budget = need(&mut it, "--budget")?.parse()?,
-            "--batch" => batch = need(&mut it, "--batch")?.parse::<usize>()?.max(1),
+    let mut settings = HuntSettings::default();
+    let (mut path, mut steps, mut store_dir, mut from_monitor) = (None, None, None, None);
+    // A hunt searches the probabilities itself, so a probability flag is
+    // refused where it stands, before its value is read.
+    let probability_flags = PlanFlags::default().probabilities().map(|(flag, _)| flag);
+    let mut refused = None;
+    let tokens = args.iter().map(String::as_str).map_while(|arg| {
+        if probability_flags.contains(&arg) {
+            refused = Some(arg);
+            return None;
+        }
+        Some(arg)
+    });
+    let flags = PlanFlags::parse(tokens, |arg, rest| {
+        match arg {
+            "--budget" => settings.config.budget = flag_value(arg, rest)?,
+            "--batch" => settings.config.batch = flag_value::<usize>(arg, rest)?.max(1),
             "--steps" => {
-                let parsed = need(&mut it, "--steps")?
-                    .split(',')
-                    .map(str::parse)
-                    .collect::<Result<Vec<f64>, _>>()?;
+                let parsed = parse_steps(arg, flag_text(arg, rest)?)?;
                 if let Some(p) = parsed.iter().find(|p| !(0.0..=1.0).contains(*p)) {
-                    return Err(format!("--steps probability {p} is outside [0, 1]").into());
+                    return Err(format!("--steps probability {p} is outside [0, 1]"));
                 }
                 steps = Some(parsed);
             }
-            "--compromise" => {
-                let v = need(&mut it, "--compromise")?;
-                let (key, t) = v
-                    .split_once('@')
-                    .ok_or("--compromise takes KEY@TIME, e.g. Kab@2")?;
-                compromises.push((Key::new(key), t.parse()?));
-            }
-            "--store" => store_dir = Some(need(&mut it, "--store")?.to_string()),
-            "--from-monitor" => {
-                from_monitor = Some(need(&mut it, "--from-monitor")?.to_string());
-            }
-            "--patience" => patience = need(&mut it, "--patience")?.parse()?,
-            "--retries" => retries = need(&mut it, "--retries")?.parse()?,
-            "--public" => public = true,
-            other if !other.starts_with("--") && path.is_none() => {
-                path = Some(other.to_string());
-            }
-            other => return Err(format!("unknown hunt flag {other}").into()),
+            "--store" => store_dir = Some(flag_text(arg, rest)?),
+            "--from-monitor" => from_monitor = Some(flag_text(arg, rest)?),
+            other if !other.starts_with("--") && path.is_none() => path = Some(other),
+            other => return Err(format!("unknown hunt flag {other}")),
         }
+        Ok(())
+    });
+    if let Some(flag) = refused {
+        return Err(format!("unknown hunt flag {flag}").into());
     }
-    let (at, _syms) = parse_spec_diag(path.as_ref())?;
+    let flags = flags?;
+    let (at, _syms) = parse_spec_diag(path)?;
     let mut space = default_space(&at);
     if let Some(steps) = steps {
         space.prob_steps = steps;
     }
-    for (key, t) in compromises {
+    for (key, t) in flags.compromises.iter().cloned() {
         if !space.compromise_candidates.contains(&(key.clone(), t)) {
             space = space.candidate(key, t);
         }
     }
-    let seed_plans: Vec<FaultPlan> = match &from_monitor {
-        Some(file) => seeds_from_checkpoint(&std::fs::read_to_string(file)?)?,
-        None => Vec::new(),
-    };
-    let settings = HuntSettings {
-        config: HuntConfig {
-            seed,
-            budget,
-            batch,
-            space,
-            seed_plans,
-        },
-        options: ExecOptions {
-            public_channel: public,
-            ..ExecOptions::default()
-        },
-        expect_policy: if retries > 0 {
-            ExpectPolicy::resend_after(patience, retries)
-        } else {
-            ExpectPolicy::skip_after(patience)
-        },
-    };
-    let store = match &store_dir {
+    if let Some(file) = from_monitor {
+        settings.config.seed_plans = seeds_from_checkpoint(&std::fs::read_to_string(file)?)?;
+    }
+    settings.config.seed = flags.seed;
+    settings.config.space = space;
+    settings.options = flags.options();
+    settings.expect_policy = flags.policy();
+    let store = match store_dir {
         Some(dir) => Some(HuntStore::open(dir)?),
         None => None,
     };
@@ -656,51 +471,29 @@ fn cmd_hunt(args: &[String], pool: &Pool) -> Result<bool, Box<dyn std::error::Er
 
 fn cmd_serve(args: &[String], pool: Pool) -> Result<bool, Box<dyn std::error::Error>> {
     use atl::core::serve::{ServeConfig, Server};
+    use std::time::Duration;
 
     let mut config = ServeConfig {
         pool,
         ..ServeConfig::default()
     };
-    let mut it = args.iter();
+    let mut it = args.iter().map(String::as_str);
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--port" => config.port = it.next().ok_or("--port needs a value")?.parse()?,
-            "--max-sessions" => {
-                config.max_sessions = it
-                    .next()
-                    .ok_or("--max-sessions needs a value")?
-                    .parse::<usize>()?
-                    .max(1);
-            }
+        match arg {
+            "--port" => config.port = flag_value(arg, &mut it)?,
+            "--max-sessions" => config.max_sessions = flag_value::<usize>(arg, &mut it)?.max(1),
             "--idle-timeout" => {
-                let secs: u64 = it.next().ok_or("--idle-timeout needs a value")?.parse()?;
-                config.idle_timeout = (secs > 0).then(|| std::time::Duration::from_secs(secs));
+                let secs: u64 = flag_value(arg, &mut it)?;
+                config.idle_timeout = (secs > 0).then(|| Duration::from_secs(secs));
             }
-            "--drain" => {
-                let secs: u64 = it.next().ok_or("--drain needs a value")?.parse()?;
-                config.drain_deadline = std::time::Duration::from_secs(secs);
-            }
-            "--conn-workers" => {
-                config.conn_workers = it
-                    .next()
-                    .ok_or("--conn-workers needs a value")?
-                    .parse::<usize>()?
-                    .max(1);
-            }
-            "--queue-depth" => {
-                config.queue_depth = it
-                    .next()
-                    .ok_or("--queue-depth needs a value")?
-                    .parse::<usize>()?
-                    .max(1);
-            }
+            "--drain" => config.drain_deadline = Duration::from_secs(flag_value(arg, &mut it)?),
+            "--conn-workers" => config.conn_workers = flag_value::<usize>(arg, &mut it)?.max(1),
+            "--queue-depth" => config.queue_depth = flag_value::<usize>(arg, &mut it)?.max(1),
             "--exec-cache-cap" => {
-                let cap: usize = it.next().ok_or("--exec-cache-cap needs a value")?.parse()?;
+                let cap: usize = flag_value(arg, &mut it)?;
                 config.exec_cache_capacity = (cap > 0).then_some(cap);
             }
-            "--store" => {
-                config.monitor_store = Some(it.next().ok_or("--store needs a value")?.into());
-            }
+            "--store" => config.monitor_store = Some(flag_text(arg, &mut it)?.into()),
             other => return Err(format!("unknown serve flag {other}").into()),
         }
     }
@@ -718,10 +511,10 @@ fn cmd_client(args: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
 
     let mut port = DEFAULT_PORT;
     let mut words: Vec<&str> = Vec::new();
-    let mut it = args.iter();
+    let mut it = args.iter().map(String::as_str);
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--port" => port = it.next().ok_or("--port needs a value")?.parse()?,
+        match arg {
+            "--port" => port = flag_value(arg, &mut it)?,
             other => words.push(other),
         }
     }
@@ -743,13 +536,13 @@ fn cmd_client(args: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     }
 }
 
-fn cmd_proof(which: Option<&String>) -> Result<bool, Box<dyn std::error::Error>> {
+fn cmd_proof(which: Option<&str>) -> Result<bool, Box<dyn std::error::Error>> {
     let p = Principal::new("P");
     let q = Principal::new("Q");
     let s = Principal::new("S");
     let k = KeyTerm::Key(Key::new("K"));
     let x = Message::nonce(Nonce::new("X"));
-    let proof = match which.map(String::as_str) {
+    let proof = match which {
         Some("message-meaning") => theorems::ban_message_meaning(&p, &k, &q, &x, &s)?,
         Some("nonce-verification") => theorems::nonce_verification(&q, &x)?,
         Some("belief-conjunction") => theorems::belief_conjunction(

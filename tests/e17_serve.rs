@@ -467,6 +467,133 @@ fn parse_error_diagnostics_agree_between_daemon_library_and_cli() {
     let _ = std::fs::remove_file(bad);
 }
 
+/// Runs `atl <args>`, which must exit 2 with one `error: <m>` line on
+/// stderr, and returns `<m>`.
+fn cli_error(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_atl"))
+        .args(args)
+        .output()
+        .expect("run the atl binary");
+    assert_eq!(out.status.code(), Some(2), "{args:?} is a usage error");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    stderr
+        .strip_prefix("error: ")
+        .and_then(|m| m.strip_suffix('\n'))
+        .unwrap_or_else(|| panic!("{args:?}: stderr {stderr:?} is not one error line"))
+        .to_string()
+}
+
+/// A malformed fault flag gets one message from both front ends:
+/// `atl inject` exits 2 with `error: <m>` on stderr, `INJECT` answers
+/// `ERR <m>`, and `<m>` names the flag. `atl hunt`'s own flags name
+/// themselves too.
+#[test]
+fn fault_flag_errors_name_the_flag_in_the_cli_and_on_the_wire() {
+    const BAD_FLAGS: &[(&str, &str)] = &[
+        ("--seed x", "--seed"),
+        ("--drop x", "--drop"),
+        ("--drop 0.5,0.6", "--drop"),
+        ("--delay 0.5:x", "--delay"),
+        ("--compromise Kab", "--compromise"),
+        ("--compromise Kab@x", "--compromise"),
+        ("--patience -1", "--patience"),
+        ("--retries x", "--retries"),
+        ("--drop", "--drop"),
+    ];
+    let path = spec_path("kerberos_figure1");
+    let server = start(1, 2);
+    let mut c = client(&server);
+    let id = c.load(&path).expect("load spec");
+    for (flags, flag) in BAD_FLAGS {
+        let mut args = vec!["inject", path.as_str()];
+        args.extend(flags.split_whitespace());
+        let cli = cli_error(&args);
+        let wire = c
+            .request(&format!("INJECT {id} {flags}"))
+            .expect("inject response");
+        assert_eq!(
+            wire.err_message(),
+            Some(cli.as_str()),
+            "`{flags}`: INJECT and `atl inject` disagree"
+        );
+        assert!(
+            cli.contains(flag),
+            "`{flags}`: {cli:?} does not name {flag}"
+        );
+    }
+    stop(server, &mut c);
+
+    let hunt = cli_error(&["hunt", &spec_path("needham_schroeder"), "--budget", "x"]);
+    assert!(hunt.contains("--budget"), "{hunt:?} does not name --budget");
+}
+
+/// Each front end refuses the flags it does not take, by name: `INJECT`
+/// every token that is not a single-plan fault flag, `atl hunt` the
+/// probability flags, before their values are read.
+#[test]
+fn front_ends_refuse_the_flags_they_do_not_take() {
+    let server = start(1, 2);
+    let mut c = client(&server);
+    let id = c.load(&spec_path("kerberos_figure1")).expect("load spec");
+    for (flags, token) in [
+        ("--sweep", "--sweep"),
+        ("--seed 1 --emit-trace x", "--emit-trace"),
+        ("--seeds 3", "--seeds"),
+    ] {
+        let resp = c.request(&format!("INJECT {id} {flags}")).expect("inject");
+        assert_eq!(
+            resp.err_message(),
+            Some(
+                format!(
+                    "unknown inject flag {token:?} (serve-mode inject takes single-plan fault flags)"
+                )
+                .as_str()
+            ),
+            "INJECT {flags}"
+        );
+    }
+    stop(server, &mut c);
+
+    let spec = spec_path("needham_schroeder");
+    for args in [
+        vec![spec.as_str(), "--drop"],
+        vec!["--drop", spec.as_str()],
+        vec![spec.as_str(), "--drop", "x"],
+        vec![spec.as_str(), "--drop", "0.5"],
+    ] {
+        let mut argv = vec!["hunt"];
+        argv.extend(&args);
+        assert_eq!(cli_error(&argv), "unknown hunt flag --drop", "{argv:?}");
+    }
+}
+
+/// `EVAL` splits its id and point on runs of whitespace, as every other
+/// verb does: doubled or tab separators answer the single-space bytes,
+/// from the memo.
+#[test]
+fn eval_accepts_repeated_whitespace_between_its_fields() {
+    let server = start(1, 2);
+    let mut c = client(&server);
+    let id = c.load(&spec_path("kerberos_figure1")).expect("load spec");
+    let want = c.request(&format!("EVAL {id} 0 A has Kab")).expect("eval");
+    assert!(want.ok, "{want:?}");
+    for spaced in [
+        format!("EVAL {id}  0 A has Kab"),
+        format!("EVAL {id} 0  A has Kab"),
+        format!("EVAL {id}\t0\tA has Kab"),
+    ] {
+        let before = server.stats();
+        assert_eq!(c.request(&spaced).expect("eval"), want, "{spaced:?}");
+        let after = server.stats();
+        assert_eq!(
+            after.eval_warm,
+            before.eval_warm + 1,
+            "{spaced:?} is a memo hit"
+        );
+    }
+    stop(server, &mut c);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
