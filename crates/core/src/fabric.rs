@@ -7,7 +7,7 @@
 //! back. This module is everything above the wire:
 //!
 //! - [`OutcomeStore`] — a persistent, content-addressed, crash-safe
-//!   store of execution outcomes keyed by `(context digest, plan
+//!   store of execution outcomes keyed by `(execution context, plan
 //!   fingerprint)`, one [`atl_model::store`] frame per outcome: writes
 //!   are atomic, loads verify the frame and re-parse the payload, and
 //!   anything truncated, bit-flipped, or mislabeled is discarded and
@@ -21,6 +21,14 @@
 //!   hung workers, and degrades gracefully to fully in-process
 //!   execution when every worker is lost, so the sweep *always*
 //!   completes.
+//!
+//! One execution context keys everything: the
+//! [`execution_context_digest`] of the enacted protocol and the options,
+//! as the in-memory [`ExecutionCache`] and the hunt corpus use it. Every
+//! `SWEEP` shard carries it, and a worker whose session enacts a
+//! different protocol refuses the shard, so outcomes never alias across
+//! protocols even when a worker's spec file differs from the
+//! coordinator's.
 //!
 //! Correctness bar: the printed [`FaultSweepReport`] is byte-identical
 //! to a single-process `atl inject --sweep` whatever the worker count,
@@ -42,13 +50,11 @@ use atl_model::wire::{
     parse_outcome, parse_sweep_response, render_outcome, render_plan, render_sweep_request,
 };
 use atl_model::{
-    execute_with_faults, sweep_plans_resolve, ExecOutcome, ExecutionCache, FaultPlan,
-    PlanFingerprint, Protocol,
+    execute_with_faults, execution_context_digest, sweep_plans_resolve, ExecOutcome,
+    ExecutionCache, FaultPlan, PlanFingerprint, Protocol,
 };
-use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
@@ -237,22 +243,6 @@ impl fmt::Display for FabricStats {
     }
 }
 
-/// A stable digest of everything besides the plan that determines a
-/// distributed execution: the spec bytes (what workers `LOAD`) and the
-/// enacted policy/options. Store entries and shards key off this, so a
-/// store shared between specs, or a worker serving a stale spec file,
-/// can never alias outcomes across contexts.
-fn fabric_context(spec_text: &str, config: &SweepConfig) -> u64 {
-    // DefaultHasher::new() is keyed with constants, so this digest is
-    // stable across processes — the same precedent as the plan
-    // fingerprint digest and the serve-session content digest.
-    let mut h = DefaultHasher::new();
-    spec_text.hash(&mut h);
-    format!("{:?}", config.expect_policy).hash(&mut h);
-    format!("{:?}", config.options).hash(&mut h);
-    h.finish()
-}
-
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -296,15 +286,20 @@ struct SweepShared<'a> {
 /// byte-identical to [`crate::sweep::fault_sweep`] on the same spec and
 /// config.
 ///
-/// `spec_path` is the path workers `LOAD`; its bytes (which `at` was
-/// parsed from) also key the outcome store, so resuming against an
-/// edited spec misses cleanly instead of replaying stale outcomes.
+/// `spec_path` is the path workers `LOAD`; the coordinator itself never
+/// reads it. Store entries and shards are keyed by
+/// [`execution_context_digest`] of `at` enacted under the sweep's policy
+/// and options, so an edit the executor can see (a step, a key, the
+/// policy) misses the store cleanly, while comment, goal and belief
+/// edits still replay. Each shard carries that context, and a worker
+/// whose `spec_path` enacts a different protocol refuses the shard, so
+/// its outcomes are never merged or stored.
 ///
 /// # Errors
 ///
-/// Any [`io::Error`] from reading the spec or opening the store. Worker
-/// failures are *not* errors — they are absorbed by requeue and local
-/// fallback.
+/// Any [`io::Error`] from opening the store. Worker failures, a refused
+/// shard included, are *not* errors — they are absorbed by requeue and
+/// local fallback.
 pub fn fabric_sweep(
     at: &AtProtocol,
     spec_path: &str,
@@ -312,18 +307,17 @@ pub fn fabric_sweep(
     fabric: &FabricConfig,
     pool: &Pool,
 ) -> io::Result<(FaultSweepReport, FabricStats)> {
-    let spec_text = std::fs::read_to_string(spec_path)?;
     let store = match &fabric.store {
         Some(dir) => Some(OutcomeStore::open(dir)?),
         None => None,
     };
-    let context = fabric_context(&spec_text, config);
     let proto = enact_with(
         at,
         EnactOptions {
             expect_policy: config.expect_policy,
         },
     );
+    let context = execution_context_digest(&proto, &config.options);
     let plans = config.grid.plans();
     let mut stats = FabricStats {
         workers: fabric.workers.len() as u64,
@@ -582,6 +576,7 @@ fn try_shard(
     let request = format!(
         "SWEEP {id} {}",
         render_sweep_request(
+            shared.context,
             &shared.config.expect_policy,
             &shared.config.options,
             shard.entries.iter().map(|e| e.line.as_str()),

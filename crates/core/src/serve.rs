@@ -54,7 +54,7 @@
 //!                                  bytes of `atl inject`; the flags go
 //!                                  through `atl inject`'s parser
 //!                                  (`crate::request`), errors included
-//! SWEEP <id> policy=<p> options=<o> plans=<plan>;<plan>;…
+//! SWEEP <id> [context=<c>] policy=<p> options=<o> plans=<plan>;<plan>;…
 //!                                  execute a shard of fault plans, one
 //!                                  wire-rendered outcome per plan (the
 //!                                  `atl_model::wire` shard codec)
@@ -77,11 +77,17 @@
 //! `SWEEP` is the worker half of the distributed fabric
 //! (`crate::fabric`): the request and the response are the
 //! [`atl_model::wire`] shard codec the coordinator also speaks
-//! ([`parse_sweep_request`], [`render_sweep_response`]). Plans execute
-//! against the global [`ExecutionCache`], and the response carries each
-//! outcome keyed by its fingerprint digest — `outcome <i> fp=<16 hex>
-//! lines=<n>` followed by `n` lines of
-//! [`atl_model::wire::render_outcome`].
+//! ([`parse_sweep_request`], [`render_sweep_response`]). The request's
+//! `context` is the coordinator's [`execution_context_digest`]; when
+//! the session's protocol, enacted under the shard's policy and options,
+//! digests differently, the shard is refused with `ERR context
+//! mismatch …` instead of executing another protocol's runs. Plans
+//! execute against the global [`ExecutionCache`], and the response
+//! carries each outcome keyed by its fingerprint digest — `outcome <i>
+//! fp=<16 hex> lines=<n>` followed by `n` lines of
+//! [`atl_model::wire::render_outcome`]. Every digest here, and the
+//! canonical-spec digest `LOAD` dedupes by, is
+//! [`atl_model::wire::fnv64`].
 //!
 //! `MONITOR`/`EVENT` sessions live beside the spec sessions. With
 //! [`ServeConfig::monitor_store`] set, each `EVENT` checkpoints its
@@ -141,17 +147,15 @@ use crate::sweep::belief_assumptions;
 use atl_lang::parser::{parse_formula, Symbols};
 use atl_model::store::FrameStore;
 use atl_model::wire::{
-    checkpoint_body, parse_checkpoint_body, parse_sweep_request, render_sweep_response,
+    checkpoint_body, fnv64, parse_checkpoint_body, parse_sweep_request, render_sweep_response,
     CHECKPOINT_HEADER,
 };
 use atl_model::{
-    execute_with_faults, sweep_plans_on, ExecOptions, ExecutionCache, FaultPlan, Point, Protocol,
-    System,
+    execute_with_faults, execution_context_digest, sweep_plans_in, ExecOptions, ExecutionCache,
+    FaultPlan, Point, Protocol, System,
 };
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -434,6 +438,35 @@ impl Store {
         self.recency.retain(|&x| x != id);
         self.recency.push(id);
     }
+
+    /// What `STATS` and `METRICS` report about the resident sessions,
+    /// in one walk under the store lock.
+    fn census(&self) -> Census {
+        let mut census = Census {
+            live: self.sessions.len(),
+            ..Census::default()
+        };
+        for session in self.sessions.values() {
+            census.hidden += session.warmed.hidden_entries();
+            census.frozen += session
+                .warmed
+                .frozen_base()
+                .map_or(0, |b| b.message_count());
+            census.lineage += usize::from(session.parent.is_some());
+        }
+        census
+    }
+}
+
+/// Session totals: live sessions, hidden-state entries and frozen
+/// interner messages across their warmed caches, and sessions
+/// re-pointed by `RELOAD` (lineage).
+#[derive(Default)]
+struct Census {
+    live: usize,
+    hidden: usize,
+    frozen: usize,
+    lineage: usize,
 }
 
 /// The bounded accept queue between the accept loop and the connection
@@ -903,13 +936,12 @@ fn first_word(text: &str) -> (&str, &str) {
     }
 }
 
-/// Digest of the *canonicalized* spec text: comments and insignificant
-/// whitespace are erased first, so comment-only twins share a digest and
-/// hit the `LOAD` dedupe path instead of building a second session.
+/// The [`fnv64`] digest of the *canonicalized* spec text: comments and
+/// insignificant whitespace are erased first, so comment-only twins
+/// share a digest and hit the `LOAD` dedupe path instead of building a
+/// second session.
 fn content_digest(content: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    canonicalize_spec(content).hash(&mut h);
-    h.finish()
+    fnv64(canonicalize_spec(content).as_bytes())
 }
 
 fn cmd_load(state: &Arc<ServerState>, path: &str) -> Response {
@@ -1361,13 +1393,15 @@ fn inject_request(flags: &str) -> Result<InjectRequest, String> {
     .and_then(|flags| flags.request())
 }
 
-/// `SWEEP <id> policy=<p> options=<o> plans=<plan>;<plan>;…` — the
-/// worker half of the distributed fabric. The shard executes through
-/// the same [`sweep_plans_on`] path as a local sweep, against the
-/// server-global [`ExecutionCache`], so repeated fingerprints across
-/// shards, sweeps, and sessions cost nothing; the response returns one
-/// wire-rendered outcome per plan, in request order, keyed by
-/// fingerprint digest.
+/// `SWEEP <id> [context=<c>] policy=<p> options=<o> plans=<plan>;<plan>;…`
+/// — the worker half of the distributed fabric. A shard naming an
+/// execution context other than the session's (a worker serving another
+/// spec than the coordinator's) is refused with `ERR context mismatch`.
+/// The shard executes through the same [`sweep_plans_in`] path as a
+/// local sweep, against the server-global [`ExecutionCache`], so
+/// repeated fingerprints across shards, sweeps, and sessions cost
+/// nothing; the response returns one wire-rendered outcome per plan, in
+/// request order, keyed by fingerprint digest.
 fn cmd_sweep(state: &Arc<ServerState>, rest: &str) -> Response {
     let (id_text, rest) = first_word(rest);
     if id_text.is_empty() {
@@ -1377,7 +1411,7 @@ fn cmd_sweep(state: &Arc<ServerState>, rest: &str) -> Response {
         Ok(s) => s,
         Err(e) => return e,
     };
-    let (policy, options, plans) = match parse_sweep_request(rest) {
+    let (asked, policy, options, plans) = match parse_sweep_request(rest) {
         Ok(request) => request,
         Err(msg) => return Response::err(msg),
     };
@@ -1387,7 +1421,21 @@ fn cmd_sweep(state: &Arc<ServerState>, rest: &str) -> Response {
             expect_policy: policy,
         },
     );
-    let outcome = sweep_plans_on(&proto, &options, &plans, &state.pool, &state.exec_cache);
+    let context = execution_context_digest(&proto, &options);
+    if let Some(asked) = asked.filter(|&asked| asked != context) {
+        return Response::err(format!(
+            "context mismatch: the shard names context {asked:016x}, session {} executes {context:016x}",
+            session.id
+        ));
+    }
+    let outcome = sweep_plans_in(
+        context,
+        &proto,
+        &options,
+        &plans,
+        &state.pool,
+        &state.exec_cache,
+    );
     let lines = render_sweep_response(&outcome.results);
     let mut store = state.store();
     store.stats.sweep_served += 1;
@@ -1581,17 +1629,7 @@ fn resume_monitors(state: &Arc<ServerState>, store: &FrameStore) {
 fn cmd_stats(state: &Arc<ServerState>) -> Response {
     let store = state.store();
     let s = store.stats;
-    let mut ids: Vec<u64> = store.sessions.keys().copied().collect();
-    ids.sort_unstable();
-    let (mut hidden, mut frozen) = (0usize, 0usize);
-    for id in &ids {
-        let session = &store.sessions[id];
-        hidden += session.warmed.hidden_entries();
-        frozen += session
-            .warmed
-            .frozen_base()
-            .map_or(0, |b| b.message_count());
-    }
+    let census = store.census();
     let execs = state.exec_cache.len();
     let text = format!(
         "sessions: {} live, capacity {}\n\
@@ -1605,7 +1643,7 @@ fn cmd_stats(state: &Arc<ServerState>) -> Response {
          monitor: {} session(s), {} event(s), {} point(s) reused, {} delta, {} full\n\
          connections: {} reaped\n\
          warmed: {} hidden state(s), {} frozen message(s), {} cached execution(s)",
-        store.sessions.len(),
+        census.live,
         state.max_sessions,
         s.loads,
         s.parsed,
@@ -1631,8 +1669,8 @@ fn cmd_stats(state: &Arc<ServerState>) -> Response {
         s.monitor_delta,
         s.monitor_full,
         s.reaped,
-        hidden,
-        frozen,
+        census.hidden,
+        census.frozen,
         execs
     );
     Response::from_text(&text)
@@ -1645,25 +1683,16 @@ fn cmd_stats(state: &Arc<ServerState>) -> Response {
 /// series. Counter totals and `STATS` never disagree: both read the
 /// same [`ServeStats`] under the store lock.
 fn cmd_metrics(state: &Arc<ServerState>) -> Response {
-    let (stats, sessions_live, hidden, frozen, lineage) = {
+    let (stats, census) = {
         let store = state.store();
-        let (mut hidden, mut frozen, mut lineage) = (0usize, 0usize, 0usize);
-        for session in store.sessions.values() {
-            hidden += session.warmed.hidden_entries();
-            frozen += session
-                .warmed
-                .frozen_base()
-                .map_or(0, |b| b.message_count());
-            lineage += usize::from(session.parent.is_some());
-        }
-        (store.stats, store.sessions.len(), hidden, frozen, lineage)
+        (store.stats, store.census())
     };
     let extras = [
         ExtraMetric {
             name: "atl_serve_sessions_live",
             help: "Warmed sessions currently resident.",
             kind: MetricKind::Gauge,
-            value: sessions_live as u64,
+            value: census.live as u64,
         },
         ExtraMetric {
             name: "atl_serve_session_capacity",
@@ -1783,19 +1812,19 @@ fn cmd_metrics(state: &Arc<ServerState>) -> Response {
             name: "atl_serve_sessions_with_lineage",
             help: "Live sessions currently re-pointed from a parent spec digest.",
             kind: MetricKind::Gauge,
-            value: lineage as u64,
+            value: census.lineage as u64,
         },
         ExtraMetric {
             name: "atl_serve_warmed_hidden_states",
             help: "Hidden-state entries across all warmed eval caches.",
             kind: MetricKind::Gauge,
-            value: hidden as u64,
+            value: census.hidden as u64,
         },
         ExtraMetric {
             name: "atl_serve_warmed_frozen_messages",
             help: "Frozen interner messages across all warmed eval caches.",
             kind: MetricKind::Gauge,
-            value: frozen as u64,
+            value: census.frozen as u64,
         },
         ExtraMetric {
             name: "atl_serve_monitors_live",
@@ -2140,18 +2169,6 @@ mod tests {
         let spec = spec_file("sweep", TOY);
         let id = c.load(spec.to_str().expect("utf8 path")).expect("load");
         let plans = [FaultPlan::new(0), FaultPlan::new(1).drop(1.0)];
-        let request = format!(
-            "SWEEP {id} policy={} options={} plans={};{}",
-            render_policy(&ExpectPolicy::skip_after(3)),
-            render_exec_options(&ExecOptions::default()),
-            atl_model::wire::render_plan(&plans[0]),
-            atl_model::wire::render_plan(&plans[1]),
-        );
-        let resp = c.request(&request).expect("sweep");
-        assert!(resp.ok, "{resp:?}");
-        assert_eq!(resp.lines[0], "plans 2");
-        // Decode both outcomes and check them against direct local
-        // execution under the same policy and options.
         let (content, _) = parse_spec(TOY).expect("spec parses");
         let proto = enact_with(
             &content,
@@ -2159,6 +2176,35 @@ mod tests {
                 expect_policy: ExpectPolicy::skip_after(3),
             },
         );
+        let context = execution_context_digest(&proto, &ExecOptions::default());
+        let request = |context: u64| {
+            format!(
+                "SWEEP {id} context={context:016x} policy={} options={} plans={};{}",
+                render_policy(&ExpectPolicy::skip_after(3)),
+                render_exec_options(&ExecOptions::default()),
+                atl_model::wire::render_plan(&plans[0]),
+                atl_model::wire::render_plan(&plans[1]),
+            )
+        };
+        // A shard keyed to another protocol's context is refused, not
+        // executed against this session's protocol.
+        let other = request(context ^ 1);
+        let refused = c.request(&other).expect("refusal");
+        assert_eq!(
+            refused.err_message(),
+            Some(
+                format!(
+                    "context mismatch: the shard names context {:016x}, session {id} executes {context:016x}",
+                    context ^ 1
+                )
+                .as_str()
+            )
+        );
+        let resp = c.request(&request(context)).expect("sweep");
+        assert!(resp.ok, "{resp:?}");
+        assert_eq!(resp.lines[0], "plans 2");
+        // Decode both outcomes and check them against direct local
+        // execution under the same policy and options.
         let mut cursor = 1;
         for plan in &plans {
             let header = &resp.lines[cursor];

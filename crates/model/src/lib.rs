@@ -60,8 +60,8 @@ pub use search::{
 };
 pub use state::{EnvState, GlobalState, LocalState};
 pub use sweep::{
-    execution_context_digest, sweep_plans_on, sweep_plans_resolve, ExecOutcome, ExecutionCache,
-    PlanFingerprint, PlanResult, SweepGrid, SweepOutcome, SweepStats,
+    execution_context_digest, sweep_plans_in, sweep_plans_on, sweep_plans_resolve, ExecOutcome,
+    ExecutionCache, PlanFingerprint, PlanResult, SweepGrid, SweepOutcome, SweepStats,
 };
 pub use system::{Interpretation, Point, System};
 pub use trace::{parse_trace, render_trace, FeedOutcome, TraceError, TraceFeed};

@@ -28,7 +28,8 @@
 //!    construction flipping any single minimized axis further toward
 //!    identity loses the signature.
 //!
-//! Execution rides [`sweep_plans_on`]: dedup, the shared
+//! Execution rides [`sweep_plans_in`] under one execution context
+//! digested once per hunt: dedup, the shared
 //! [`ExecutionCache`], and `--jobs` parallelism come for free, and the
 //! whole search — batch generation is sequential, sweeps merge by index,
 //! shrinking is deterministic — is byte-identical at every worker count.
@@ -43,8 +44,8 @@ use crate::parallel::Pool;
 use crate::protocol::Protocol;
 use crate::store::FrameStore;
 use crate::sweep::{
-    execution_context_digest, sweep_plans_on, ExecOutcome, ExecutionCache, PlanFingerprint,
-    SweepGrid,
+    execution_context_digest, sweep_plans_in, ExecOutcome, ExecutionCache, PlanFingerprint,
+    SweepGrid, SweepOutcome,
 };
 use crate::wire;
 use atl_lang::Key;
@@ -352,7 +353,7 @@ const INITIAL_ENERGY: u32 = 8;
 ///
 /// The result is byte-identical at every `pool` worker count: mutants
 /// are generated sequentially from the seeded RNG, executions ride the
-/// jobs-invariant [`sweep_plans_on`], classification walks batches in
+/// jobs-invariant [`sweep_plans_in`], classification walks batches in
 /// generation order, and shrinking is deterministic.
 pub fn hunt_plans_on<C>(
     protocol: &Protocol,
@@ -367,6 +368,8 @@ where
     C: FnMut(&FaultPlan, &ExecOutcome) -> String,
 {
     let context = execution_context_digest(protocol, options);
+    let sweep =
+        |plans: &[FaultPlan]| sweep_plans_in(context, protocol, options, plans, pool, cache);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut stats = HuntStats::default();
     let mut seen: BTreeSet<String> = BTreeSet::new();
@@ -380,13 +383,7 @@ where
     // hit.
     let baseline = {
         let identity = config.space.identity();
-        let outcome = sweep_plans_on(
-            protocol,
-            options,
-            std::slice::from_ref(&identity),
-            pool,
-            cache,
-        );
+        let outcome = sweep(std::slice::from_ref(&identity));
         stats.executed += outcome.stats.executed + outcome.stats.cache_hits;
         stats.cache_hits += outcome.stats.cache_hits;
         classify(&identity, outcome.results[0].outcome.as_ref())
@@ -395,7 +392,7 @@ where
     // Resume: persisted plans are inputs, so they are executed and
     // classified afresh; their fingerprints count as already seen.
     if let Some(store) = store {
-        let outcome = sweep_plans_on(protocol, options, &store.load(context), pool, cache);
+        let outcome = sweep(&store.load(context));
         for result in &outcome.results {
             seen.insert(PlanFingerprint::of(&result.plan).wire());
             let signature = classify(&result.plan, result.outcome.as_ref());
@@ -423,7 +420,7 @@ where
     loop {
         if !pending.is_empty() {
             stats.rounds += 1;
-            let outcome = sweep_plans_on(protocol, options, &pending, pool, cache);
+            let outcome = sweep(&pending);
             stats.executed += outcome.stats.executed + outcome.stats.cache_hits;
             stats.cache_hits += outcome.stats.cache_hits;
             for result in &outcome.results {
@@ -470,11 +467,8 @@ where
     // Shrink every class toward the identity plan.
     for class in &mut classes {
         let (minimal, probes, spent) = shrink(
-            protocol,
-            options,
             &config.space,
-            pool,
-            cache,
+            &sweep,
             &class.witness,
             &class.signature,
             &mut classify,
@@ -546,19 +540,17 @@ fn pick_parent(
 /// duration, the identity seed) that keeps the signature, until a full
 /// pass finds none. That final failed pass is the minimality
 /// certificate: every single-axis reduction the space offers was tried
-/// against the result and lost the signature.
-#[allow(clippy::too_many_arguments)]
-fn shrink<C>(
-    protocol: &Protocol,
-    options: &ExecOptions,
+/// against the result and lost the signature. `sweep` executes a plan
+/// list in the hunt's execution context.
+fn shrink<S, C>(
     space: &MutationSpace,
-    pool: &Pool,
-    cache: &ExecutionCache,
+    sweep: &S,
     witness: &FaultPlan,
     target: &str,
     classify: &mut C,
 ) -> (FaultPlan, usize, usize)
 where
+    S: Fn(&[FaultPlan]) -> SweepOutcome,
     C: FnMut(&FaultPlan, &ExecOutcome) -> String,
 {
     let mut current = witness.clone();
@@ -569,13 +561,7 @@ where
             return false;
         }
         probes += 1;
-        let outcome = sweep_plans_on(
-            protocol,
-            options,
-            std::slice::from_ref(candidate),
-            pool,
-            cache,
-        );
+        let outcome = sweep(std::slice::from_ref(candidate));
         spent += outcome.stats.executed + outcome.stats.cache_hits;
         classify(candidate, outcome.results[0].outcome.as_ref()) == target
     };
@@ -699,6 +685,7 @@ impl HuntStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::execute_with_faults;
     use crate::protocol::{ExpectPolicy, Role};
     use atl_lang::{Message, Nonce};
 
@@ -796,14 +783,8 @@ mod tests {
             classify,
         );
         for class in &outcome.classes {
-            let check = sweep_plans_on(
-                &proto,
-                &options,
-                std::slice::from_ref(&class.minimal),
-                &Pool::sequential(),
-                &ExecutionCache::new(),
-            );
-            let sig = classify(&class.minimal, check.results[0].outcome.as_ref());
+            let check = execute_with_faults(&proto, &options, &class.minimal);
+            let sig = classify(&class.minimal, &check);
             assert_eq!(
                 sig, class.signature,
                 "minimal plan of {:?}",

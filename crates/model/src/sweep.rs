@@ -35,10 +35,9 @@ use crate::parallel::Pool;
 use crate::protocol::Protocol;
 use crate::run::Run;
 use crate::system::System;
+use crate::wire::fnv64;
 use atl_lang::Key;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A grid of fault plans: the cartesian product of a seed range,
@@ -379,14 +378,10 @@ impl PlanFingerprint {
         out
     }
 
-    /// A stable 64-bit digest of [`wire`](Self::wire), used to key
+    /// The [`fnv64`] digest of [`wire`](Self::wire), used to key
     /// outcomes compactly in the serve protocol and the outcome store.
     pub fn digest(&self) -> u64 {
-        // Like `execution_context_digest` below: `DefaultHasher::new()` is keyed
-        // with constants, so the digest is stable across processes.
-        let mut h = DefaultHasher::new();
-        self.wire().hash(&mut h);
-        h.finish()
+        fnv64(self.wire().as_bytes())
     }
 }
 
@@ -494,21 +489,22 @@ impl ExecutionCache {
     }
 }
 
-/// A stable digest of everything besides the plan that determines a
-/// faulted execution: the protocol and the execution options. This is
-/// the context half of the [`ExecutionCache`] key, so any edit that
-/// changes executor-visible behavior changes the digest — a cache shared
-/// across spec reloads can never serve a pre-edit outcome for a
-/// post-edit protocol. (Goal and belief-assumption edits leave the
-/// enacted [`Protocol`] untouched and legitimately keep the digest.)
+/// The [`fnv64`] digest of everything besides the plan that determines
+/// a faulted execution: the enacted protocol (expect policy included)
+/// and the execution options. This is the context half of every
+/// execution key — the [`ExecutionCache`], the outcome store, the hunt
+/// corpus and the `SWEEP` shard — so any edit that changes
+/// executor-visible behavior changes the digest, and a cache or store
+/// shared across spec edits can never serve a pre-edit outcome for a
+/// post-edit protocol. Comment, goal and belief-assumption edits leave
+/// the enacted [`Protocol`] untouched and keep the digest, so their
+/// stored outcomes still replay. It renders the protocol, so callers
+/// that sweep one protocol many times compute it once and pass it to
+/// [`sweep_plans_in`].
 pub fn execution_context_digest(protocol: &Protocol, options: &ExecOptions) -> u64 {
-    // `DefaultHasher::new()` is keyed with constants, so the digest is
-    // stable within and across processes for the same inputs. The debug
-    // rendering covers every field of both structures.
-    let mut h = DefaultHasher::new();
-    format!("{protocol:?}").hash(&mut h);
-    format!("{options:?}").hash(&mut h);
-    h.finish()
+    // The debug rendering covers every field of both structures and
+    // escapes newlines inside strings, so the separator is unambiguous.
+    fnv64(format!("{protocol:?}\n{options:?}").as_bytes())
 }
 
 /// One plan's slot in a [`SweepOutcome`].
@@ -617,8 +613,23 @@ pub fn sweep_plans_on(
     pool: &Pool,
     cache: &ExecutionCache,
 ) -> SweepOutcome {
-    let digest = execution_context_digest(protocol, options);
-    sweep_plans_resolve(digest, plans, cache, |missing| {
+    let context = execution_context_digest(protocol, options);
+    sweep_plans_in(context, protocol, options, plans, pool, cache)
+}
+
+/// [`sweep_plans_on`] with the context already computed: `context` must
+/// be [`execution_context_digest`] of `protocol` and `options`. Callers
+/// that sweep one protocol repeatedly (a hunt's rounds and shrink
+/// probes) digest it once.
+pub fn sweep_plans_in(
+    context: u64,
+    protocol: &Protocol,
+    options: &ExecOptions,
+    plans: &[FaultPlan],
+    pool: &Pool,
+    cache: &ExecutionCache,
+) -> SweepOutcome {
+    sweep_plans_resolve(context, plans, cache, |missing| {
         pool.map(missing, |_, (i, _)| {
             Arc::new(execute_with_faults(protocol, options, &plans[*i]))
         })
@@ -631,10 +642,11 @@ pub fn sweep_plans_on(
 /// workers, and persisted outcome stores — whatever resolves a
 /// fingerprint, the assembled [`SweepOutcome`] is identical.
 ///
-/// `context` is the caller's digest of everything besides the plan that
-/// determines an execution (protocol and options for local sweeps; spec
-/// text and options for distributed ones). `resolve` receives the
-/// missing `(plan index, fingerprint)` pairs in enumeration order and
+/// `context` is [`execution_context_digest`] of the protocol and
+/// options the outcomes were executed against, whether a local pool, a
+/// remote worker or an outcome store supplies them: every layer keys on
+/// that one digest. `resolve` receives the missing `(plan index,
+/// fingerprint)` pairs in enumeration order and
 /// must return one outcome per pair, in the same order; the engine
 /// inserts them into `cache` and merges by index, so resolution order
 /// inside the resolver never shows in the output. `stats.executed`
@@ -649,7 +661,6 @@ pub fn sweep_plans_resolve<F>(
 where
     F: FnOnce(&[(usize, PlanFingerprint)]) -> Vec<Arc<ExecOutcome>>,
 {
-    let digest = context;
     let mut stats = SweepStats {
         enumerated: plans.len(),
         ..SweepStats::default()
@@ -684,7 +695,7 @@ where
         if invalid.is_some() || !seen.insert(fp.clone()) {
             continue;
         }
-        match cache.get(&(digest, fp.clone())) {
+        match cache.get(&(context, fp.clone())) {
             Some(hit) => {
                 stats.cache_hits += 1;
                 resolved.insert(fp.clone(), hit);
@@ -701,7 +712,7 @@ where
         "sweep resolver returned the wrong number of outcomes"
     );
     for ((_, fp), outcome) in missing.iter().zip(executed) {
-        cache.insert((digest, fp.clone()), Arc::clone(&outcome));
+        cache.insert((context, fp.clone()), Arc::clone(&outcome));
         resolved.insert(fp.clone(), outcome);
     }
 
@@ -871,6 +882,29 @@ mod tests {
         let a = execute_with_faults(&proto, &opts, &FaultPlan::new(1).drop(1.0)).unwrap();
         let b = execute_with_faults(&proto, &opts, &FaultPlan::new(77).drop(1.0)).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Every key written to disk or sent on the wire is an FNV-1a 64
+    /// digest. Pinning the values makes any change to a key's algorithm
+    /// or input fail here, instead of silently orphaning stores.
+    #[test]
+    fn digests_are_pinned_to_fnv1a() {
+        // The published FNV-1a 64 test vectors.
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+        let fp = PlanFingerprint::of(&FaultPlan::new(0));
+        assert_eq!(
+            fp.wire(),
+            "seed=- probs=0000000000000000,0000000000000000,0000000000000000,\
+             0000000000000000,0000000000000000 rounds=0"
+        );
+        assert_eq!(fp.digest(), fnv64(fp.wire().as_bytes()));
+        assert_eq!(fp.digest(), 0xff9a_2516_632b_6f87);
+        assert_eq!(
+            execution_context_digest(&lossy_ping_pong(), &ExecOptions::default()),
+            0x41ba_5c9f_7d7a_6fa7
+        );
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //!
 //! The `SWEEP` exchange itself is framed here as well, so the fabric
 //! coordinator and the daemon speak one codec: [`render_sweep_request`]
-//! and [`parse_sweep_request`] carry the request body (expect policy,
-//! executor options, plan list), and [`render_sweep_response`] and
-//! [`parse_sweep_response`] the `plans <n>` / `outcome <i> fp=<hex>
-//! lines=<n>` response.
+//! and [`parse_sweep_request`] carry the request body (execution
+//! context, expect policy, executor options, plan list), and
+//! [`render_sweep_response`] and [`parse_sweep_response`] the `plans
+//! <n>` / `outcome <i> fp=<hex> lines=<n>` response.
 //!
 //! Renderings are ASCII, one logical record per line. Free-form text
 //! (fault details, key names, error messages) is percent-escaped so a
@@ -336,15 +336,18 @@ fn parse_exec_options(text: &str) -> Result<ExecOptions, String> {
 }
 
 /// Renders the body of a `SWEEP` request, everything after the session
-/// id: `policy=<p> options=<o> plans=<plan>;<plan>;…`, where each plan
-/// is its [`render_plan`] line.
+/// id: `context=<c:016x> policy=<p> options=<o> plans=<plan>;<plan>;…`,
+/// where `context` is the coordinator's
+/// [`execution_context_digest`](crate::execution_context_digest) and
+/// each plan is its [`render_plan`] line.
 pub fn render_sweep_request<'a>(
+    context: u64,
     policy: &ExpectPolicy,
     options: &ExecOptions,
     plan_lines: impl IntoIterator<Item = &'a str>,
 ) -> String {
     let mut body = format!(
-        "policy={} options={} plans=",
+        "context={context:016x} policy={} options={} plans=",
         render_policy(policy),
         render_exec_options(options)
     );
@@ -357,9 +360,10 @@ pub fn render_sweep_request<'a>(
     body
 }
 
-/// Reverses [`render_sweep_request`]. `policy=` and `options=` may come
-/// in either order, but both before `plans=`, which takes the rest of
-/// the line.
+/// Reverses [`render_sweep_request`] into the context (`None` when the
+/// request names none), policy, options and plans. `context=`,
+/// `policy=` and `options=` may come in any order, but all before
+/// `plans=`, which takes the rest of the line.
 ///
 /// # Errors
 ///
@@ -367,16 +371,21 @@ pub fn render_sweep_request<'a>(
 /// carries no plans.
 pub fn parse_sweep_request(
     text: &str,
-) -> Result<(ExpectPolicy, ExecOptions, Vec<FaultPlan>), String> {
+) -> Result<(Option<u64>, ExpectPolicy, ExecOptions, Vec<FaultPlan>), String> {
     let (head, plans_text) = text
         .split_once("plans=")
         .ok_or("SWEEP needs a plans= field")?;
-    let (mut policy, mut options) = (None, None);
+    let (mut context, mut policy, mut options) = (None, None, None);
     for token in head.split_whitespace() {
         let (field, value) = token
             .split_once('=')
             .ok_or_else(|| format!("bad SWEEP field {token:?}"))?;
         match field {
+            "context" => {
+                context = Some(
+                    u64::from_str_radix(value, 16).map_err(|e| format!("SWEEP context: {e}"))?,
+                );
+            }
             "policy" => policy = Some(parse_policy(value)?),
             "options" => options = Some(parse_exec_options(value)?),
             other => return Err(format!("unknown SWEEP field {other:?}")),
@@ -389,7 +398,7 @@ pub fn parse_sweep_request(
     if plans.is_empty() {
         return Err("SWEEP shard carries no plans".to_string());
     }
-    Ok((policy, options, plans))
+    Ok((context, policy, options, plans))
 }
 
 /// Renders the payload of a `SWEEP` response: `plans <n>`, then for each
@@ -649,9 +658,16 @@ pub struct MonitorCheckpoint {
     pub lines: Vec<String>,
 }
 
-/// FNV-1a 64 over `data`: the checksum guarding every [`crate::store`]
-/// frame (outcome-store entries, hunt corpora, monitor checkpoints)
-/// against truncation and bit rot.
+/// FNV-1a 64 over `data`, the repository's one digest function. It
+/// checksums every [`crate::store`] frame (outcome-store entries, hunt
+/// corpora, monitor checkpoints) against truncation and bit rot, and it
+/// computes every key that is written to disk or sent on the wire:
+/// [`PlanFingerprint::digest`](crate::PlanFingerprint::digest),
+/// [`execution_context_digest`](crate::execution_context_digest) and
+/// the serve daemon's canonical-spec digest. Its output is fixed by the
+/// published algorithm, unlike the standard library's default hasher,
+/// whose algorithm may change between Rust releases and would silently
+/// orphan stored entries (the root `clippy.toml` forbids it).
 pub fn fnv64(data: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in data {
@@ -877,21 +893,26 @@ mod tests {
             ..ExecOptions::default()
         };
         let lines: Vec<String> = plans.iter().map(render_plan).collect();
-        let body = render_sweep_request(&policy, &options, lines.iter().map(String::as_str));
-        let (p, o, back) = parse_sweep_request(&body).expect("request parses");
-        assert_eq!(
-            (p, o.public_channel, back.as_slice()),
-            (policy, true, &plans[..])
+        let body = render_sweep_request(
+            0x0123_abcd,
+            &policy,
+            &options,
+            lines.iter().map(String::as_str),
         );
-        // The hand-written form other clients send parses too.
+        assert!(body.starts_with("context=000000000123abcd "), "{body}");
+        let (c, p, o, back) = parse_sweep_request(&body).expect("request parses");
+        assert_eq!(
+            (c, p, o.public_channel, back.as_slice()),
+            (Some(0x0123_abcd), policy, true, &plans[..])
+        );
+        // The hand-written form other clients send parses too, with or
+        // without a context.
         let hand = format!(
             "options=0:0:- policy=6:resend:2 plans={}",
             render_plan(&plans[0])
         );
-        assert_eq!(
-            parse_sweep_request(&hand).expect("hand-written request").0,
-            ExpectPolicy::resend_after(6, 2)
-        );
+        let (c, p, _, _) = parse_sweep_request(&hand).expect("hand-written request");
+        assert_eq!((c, p), (None, ExpectPolicy::resend_after(6, 2)));
         for (bad, message) in [
             ("policy=3:skip options=0:0:-", "SWEEP needs a plans= field"),
             (
@@ -904,6 +925,10 @@ mod tests {
             ),
             ("policy options=0:0:- plans=", "bad SWEEP field \"policy\""),
             ("frob=1 plans=", "unknown SWEEP field \"frob\""),
+            (
+                "context=xyz policy=3:skip options=0:0:- plans=",
+                "SWEEP context: invalid digit found in string",
+            ),
         ] {
             assert_eq!(
                 parse_sweep_request(bad).map(|_| ()),

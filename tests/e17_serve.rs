@@ -21,10 +21,9 @@ use atl::core::spec::parse_spec;
 use atl::lang::arbitrary::arb_formula;
 use atl::lang::parser::{parse_formula, Symbols};
 use atl::lang::Formula;
+use atl::model::wire::fnv64;
 use atl::model::{execute_with_faults, ExecOptions, FaultPlan, Point, System};
 use proptest::prelude::*;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::process::Command;
@@ -125,12 +124,10 @@ fn expected_eval(rep: &Replica, sem: &Semantics, pt: Point, text: &str) -> Respo
 }
 
 fn temp_spec(tag: &str, content: &str) -> std::path::PathBuf {
-    let mut h = DefaultHasher::new();
-    content.hash(&mut h);
     let path = std::env::temp_dir().join(format!(
         "atl-e17-{tag}-{}-{:016x}.atl",
         std::process::id(),
-        h.finish()
+        fnv64(content.as_bytes())
     ));
     std::fs::write(&path, content).expect("write temp spec");
     path

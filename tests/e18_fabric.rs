@@ -387,3 +387,82 @@ fn remote_outcomes_persist_and_replay_without_workers() {
     assert_eq!(warm.local_resolved, 0, "{warm}");
     let _ = std::fs::remove_dir_all(&store);
 }
+
+/// A worker whose spec file holds another protocol executes that
+/// protocol, so its shards must never reach the report or the store:
+/// the shard names the coordinator's execution context, the worker
+/// refuses it, and once the worker is abandoned the sweep resolves
+/// locally, printing the coordinator's own reference bytes.
+#[test]
+fn worker_serving_another_protocol_is_refused() {
+    let spec = spec_path("kerberos_figure1");
+    let config = chaos_config(2);
+    let want = reference(&spec, &config);
+    let src = std::fs::read_to_string(&spec).expect("read spec");
+    let (at, _) = parse_spec(&src).expect("spec parses");
+    let server = in_process_server();
+    let fabric = FabricConfig {
+        workers: vec![format!("127.0.0.1:{}", server.port())],
+        shard_plans: 4,
+        deadline: Duration::from_secs(10),
+        backoff: Duration::from_millis(1),
+        ..FabricConfig::default()
+    };
+    let (report, stats) = fabric_sweep(
+        &at,
+        &spec_path("wide_mouthed_frog"),
+        &config,
+        &fabric,
+        &Pool::new(jobs()),
+    )
+    .expect("fabric sweep");
+    assert_eq!(report.to_string(), want);
+    assert_eq!(stats.remote_resolved, 0, "{stats}");
+    assert_eq!(stats.workers_lost, 1, "{stats}");
+    stop(server);
+}
+
+/// The outcome store is keyed by the enacted protocol and options, not
+/// by the spec bytes: after a cold `--store` sweep, a comment-only and
+/// a goal-only edit replay every outcome from the store, while an edit
+/// to a step's message misses it entirely. Each report still equals a
+/// fresh single-process sweep of the edited spec.
+#[test]
+fn store_replays_across_executor_invisible_edits() {
+    let src = std::fs::read_to_string(spec_path("kerberos_figure1")).expect("read spec");
+    let store = temp_dir("edits");
+    let config = chaos_config(2);
+    let fabric = FabricConfig {
+        store: Some(store.clone()),
+        ..FabricConfig::default()
+    };
+    let sweep = |name: &str, text: &str| {
+        let path =
+            std::env::temp_dir().join(format!("atl-e18-{}-edit-{name}.atl", std::process::id()));
+        std::fs::write(&path, text).expect("write spec");
+        let path = path.to_str().expect("utf8 path").to_string();
+        let (got, stats) = run_fabric(&path, &config, &fabric);
+        assert_eq!(got, reference(&path, &config), "{name}");
+        let _ = std::fs::remove_file(&path);
+        stats
+    };
+    let cold = sweep("base", &src);
+    assert!(cold.local_resolved > 0, "{cold}");
+    for (name, text) in [
+        ("comment-only", format!("{src}# nothing to see\n")),
+        (
+            "goal-only",
+            format!("{src}goal B believes (S says <<A <-Kab-> B>>)\n"),
+        ),
+    ] {
+        let stats = sweep(name, &text);
+        assert_eq!(stats.local_resolved, 0, "{name}: {stats}");
+        assert_eq!(stats.store_hits, cold.local_resolved, "{name}: {stats}");
+    }
+    let message = src.replacen("step A -> B : {Ts,", "step A -> B : {Kab,", 1);
+    assert_ne!(message, src);
+    let stats = sweep("message-changed", &message);
+    assert_eq!(stats.store_hits, 0, "{stats}");
+    assert_eq!(stats.local_resolved, cold.local_resolved, "{stats}");
+    let _ = std::fs::remove_dir_all(&store);
+}
