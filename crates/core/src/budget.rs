@@ -2,7 +2,7 @@
 //!
 //! Saturation ([`Prover::saturate`](crate::prover::Prover::saturate)) and
 //! the good-run construction
-//! ([`construct_budgeted`](crate::goodruns::construct_budgeted)) are
+//! ([`construct_budgeted_on`](crate::goodruns::construct_budgeted_on)) are
 //! fixpoint computations whose cost grows with the fact set and the
 //! system. A [`Budget`] caps that work along three independent axes —
 //! derivation steps, total facts, and wall-clock time — and the

@@ -43,7 +43,7 @@
 use crate::annotate::AtProtocol;
 use crate::enact::{enact_with, EnactOptions};
 use crate::parallel::Pool;
-use crate::serve::{Client, MAX_REQUEST_BYTES};
+use crate::serve::{Client, CONTEXT_MISMATCH, MAX_REQUEST_BYTES};
 use crate::sweep::{survival_report, FaultSweepReport, SweepConfig};
 use atl_model::store::FrameStore;
 use atl_model::wire::{
@@ -475,12 +475,25 @@ fn build_shards(entries: Vec<ShardEntry>, fabric: &FabricConfig) -> Vec<Shard> {
     shards
 }
 
+/// How one attempt at a shard failed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ShardFailure {
+    /// The connection, probe, load, request or response failed: a retry
+    /// may succeed.
+    Transient,
+    /// The worker refused the shard's execution context: it serves
+    /// another protocol, and no retry changes that.
+    Permanent,
+}
+
 /// One worker thread: pops shards, executes them on its daemon, and
-/// commits the outcomes. Failures requeue the shard (bounded), back off
-/// exponentially, and — after `worker_failures` consecutive ones —
-/// abandon the worker. The loop exits when every shard is committed
-/// somewhere or the worker is abandoned; a hung daemon cannot wedge it
-/// because every interaction is bounded by the deadline.
+/// commits the outcomes. Transient failures requeue the shard (bounded),
+/// back off exponentially, and — after `worker_failures` consecutive
+/// ones — abandon the worker. A permanent refusal abandons the worker
+/// at once and returns the shard to the queue uncharged. The loop exits
+/// when every shard is committed somewhere or the worker is abandoned; a
+/// hung daemon cannot wedge it because every interaction is bounded by
+/// the deadline.
 fn worker_loop(addr_text: &str, shared: &SweepShared<'_>) {
     let mut conn: Option<(Client, u64)> = None;
     let mut consecutive: u32 = 0;
@@ -511,7 +524,12 @@ fn worker_loop(addr_text: &str, shared: &SweepShared<'_>) {
                     .fetch_add(shard.entries.len() as u64, Ordering::SeqCst);
                 shared.pending.fetch_sub(1, Ordering::SeqCst);
             }
-            Err(_why) => {
+            Err(ShardFailure::Permanent) => {
+                lock(&shared.queue).push_front(shard);
+                shared.lost.fetch_add(1, Ordering::SeqCst);
+                return;
+            }
+            Err(ShardFailure::Transient) => {
                 conn = None;
                 consecutive += 1;
                 shard.attempts += 1;
@@ -543,33 +561,23 @@ fn try_shard(
     shared: &SweepShared<'_>,
     conn: &mut Option<(Client, u64)>,
     shard: &Shard,
-) -> Result<Vec<ExecOutcome>, String> {
+) -> Result<Vec<ExecOutcome>, ShardFailure> {
+    use ShardFailure::Transient;
     if conn.is_none() {
         let addr: SocketAddr = addr_text
             .to_socket_addrs()
-            .map_err(|e| format!("worker {addr_text}: {e}"))?
+            .map_err(|_| Transient)?
             .next()
-            .ok_or_else(|| format!("worker {addr_text}: no address"))?;
+            .ok_or(Transient)?;
         let deadline = shared.fabric.deadline;
-        let mut client = Client::connect_timeout(addr, deadline)
-            .map_err(|e| format!("worker {addr_text}: connect: {e}"))?;
-        client
-            .set_timeout(Some(deadline))
-            .map_err(|e| format!("worker {addr_text}: timeout: {e}"))?;
+        let mut client = Client::connect_timeout(addr, deadline).map_err(|_| Transient)?;
+        client.set_timeout(Some(deadline)).map_err(|_| Transient)?;
         // Health probe: a daemon that accepts but cannot answer STATS is
         // as dead as one that refuses the connection.
-        let probe = client
-            .request("STATS")
-            .map_err(|e| format!("worker {addr_text}: probe: {e}"))?;
-        if !probe.ok {
-            return Err(format!(
-                "worker {addr_text}: probe refused: {}",
-                probe.err_message().unwrap_or("")
-            ));
+        if !client.request("STATS").map_err(|_| Transient)?.ok {
+            return Err(Transient);
         }
-        let id = client
-            .load(shared.spec_path)
-            .map_err(|e| format!("worker {addr_text}: load: {e}"))?;
+        let id = client.load(shared.spec_path).map_err(|_| Transient)?;
         *conn = Some((client, id));
     }
     let (client, id) = conn.as_mut().expect("connection established above");
@@ -582,17 +590,17 @@ fn try_shard(
             shard.entries.iter().map(|e| e.line.as_str()),
         )
     );
-    let resp = client
-        .request(&request)
-        .map_err(|e| format!("worker {addr_text}: sweep: {e}"))?;
+    let resp = client.request(&request).map_err(|_| Transient)?;
     if !resp.ok {
-        return Err(format!(
-            "worker {addr_text}: sweep refused: {}",
-            resp.err_message().unwrap_or("")
-        ));
+        let refusal = resp.err_message().unwrap_or("");
+        return Err(if refusal.starts_with(CONTEXT_MISMATCH) {
+            ShardFailure::Permanent
+        } else {
+            Transient
+        });
     }
     let digests: Vec<u64> = shard.entries.iter().map(|e| e.fp.digest()).collect();
-    parse_sweep_response(&resp.lines, &digests).map_err(|why| format!("worker {addr_text}: {why}"))
+    parse_sweep_response(&resp.lines, &digests).map_err(|_| Transient)
 }
 
 #[cfg(test)]

@@ -13,6 +13,17 @@
 //! - without I2 there is in general **no** optimum — see
 //!   [`examples::coin_toss`](crate::examples) for the paper's
 //!   counterexample.
+//!
+//! One stage loop computes the construction. [`construct`],
+//! [`construct_on`], [`construct_budgeted_on`],
+//! [`construct_checkpointed_on`] and [`resume_construct_on`] each call
+//! it with a budget, a prior [`ConstructionCheckpoint`] (empty for a cold
+//! build), a pool and a fresh evaluation cache; the serve daemon and the
+//! fault sweep call it with a cache of their own. Its candidate filters
+//! evaluate through the one run-sharded evaluator of the semantics, so
+//! the results are bit-identical at every pool width —
+//! `tests/e15_parallel.rs` holds them to an independent sequential
+//! reference.
 
 use crate::budget::{Budget, BudgetMeter, Saturation};
 use crate::parallel::Pool;
@@ -205,98 +216,12 @@ pub fn construct(
     system: &System,
     assumptions: &InitialAssumptions,
 ) -> Result<GoodRuns, GoodRunsError> {
-    construct_with_report(system, assumptions).map(|(g, _)| g)
+    construct_on(system, assumptions, &Pool::sequential()).map(|(g, _)| g)
 }
 
-/// As [`construct`], also returning the per-stage [`ConstructionReport`].
-///
-/// # Errors
-///
-/// As for [`construct`].
-pub fn construct_with_report(
-    system: &System,
-    assumptions: &InitialAssumptions,
-) -> Result<(GoodRuns, ConstructionReport), GoodRunsError> {
-    construct_budgeted(system, assumptions, Budget::unlimited()).map(|(g, r, _)| (g, r))
-}
-
-/// As [`construct_with_report`], but metered against `budget`: each
-/// semantic evaluation of an assumption body at a point charges one step.
-///
-/// When the budget runs out the refinement stops where it stands and the
-/// vector built so far is returned with
-/// [`Saturation::BudgetExhausted`] — a *coarser* (larger) vector than the
-/// full construction would produce, whose completed stages are exact. In
-/// the returned outcome, `steps` counts evaluations and `facts` counts
-/// fully completed stages.
-///
-/// # Errors
-///
-/// As for [`construct`].
-pub fn construct_budgeted(
-    system: &System,
-    assumptions: &InitialAssumptions,
-    budget: Budget,
-) -> Result<(GoodRuns, ConstructionReport, Saturation), GoodRunsError> {
-    assumptions.check()?;
-    let meter = BudgetMeter::start(budget);
-    let mut current = GoodRuns::all_runs(system);
-    let all: BTreeSet<usize> = (0..system.len()).collect();
-    // Make every assuming principal explicit so `set` updates land.
-    for p in assumptions.principals() {
-        current.set(p.clone(), all.clone());
-    }
-    let mut report = ConstructionReport::default();
-    // Term-level results depend only on the system, so one cache serves
-    // every stage's evaluator despite their differing good-run vectors.
-    let cache = Rc::new(RefCell::new(EvalCache::default()));
-    'stages: for j in 1..=assumptions.max_depth() {
-        let sem = Semantics::new_shared(system, current.clone(), Rc::clone(&cache));
-        let mut next = current.clone();
-        let mut stage = BTreeMap::new();
-        for p in assumptions.principals() {
-            let mut keep = current.get(p).clone();
-            for f in assumptions.of(p) {
-                if f.belief_depth() != j {
-                    continue;
-                }
-                let Formula::Believes(_, body) = f else {
-                    unreachable!("checked shape");
-                };
-                let mut surviving = BTreeSet::new();
-                for &ri in &keep {
-                    if !meter.charge(report.stages.len()) {
-                        // Out of budget mid-stage: the partial stage is
-                        // discarded and the last completed vector stands.
-                        break 'stages;
-                    }
-                    if sem.eval(Point::new(ri, 0), body)? {
-                        surviving.insert(ri);
-                    }
-                }
-                keep = surviving;
-            }
-            stage.insert(p.clone(), keep.len());
-            next.set(p.clone(), keep);
-        }
-        report.stages.push(stage);
-        current = next;
-    }
-    let outcome = if meter.exhausted() {
-        Saturation::BudgetExhausted {
-            facts: report.stages.len(),
-            steps: meter.steps(),
-        }
-    } else {
-        Saturation::Complete {
-            new_facts: report.stages.len(),
-        }
-    };
-    Ok((current, report, outcome))
-}
-
-/// As [`construct_with_report`], with each stage's run-filtering sharded
-/// over `pool` — see [`construct_budgeted_on`].
+/// As [`construct`], also returning the per-stage [`ConstructionReport`],
+/// with each stage's run-filtering sharded over `pool` — see
+/// [`construct_budgeted_on`].
 ///
 /// # Errors
 ///
@@ -309,25 +234,28 @@ pub fn construct_on(
     construct_budgeted_on(system, assumptions, Budget::unlimited(), pool).map(|(g, r, _)| (g, r))
 }
 
-/// As [`construct_budgeted`], with each `G^j` stage's run-filtering
-/// sharded across `pool`'s workers. The results are **bit-identical** to
-/// the sequential construction:
+/// As [`construct_on`], but metered against `budget`: each semantic
+/// evaluation of an assumption body at a point charges one step.
+///
+/// When the budget runs out the refinement stops where it stands and the
+/// vector built so far is returned with
+/// [`Saturation::BudgetExhausted`] — a *coarser* (larger) vector than the
+/// full construction would produce, whose completed stages are exact. In
+/// the returned outcome, `steps` counts evaluations and `facts` counts
+/// fully completed stages.
+///
+/// The results are **bit-identical** at every pool width:
 ///
 /// - candidate runs are dealt to workers by index and the surviving set
 ///   is merged back in index order, so each stage's `G^j` vector is the
-///   same `BTreeSet` the sequential filter builds;
-/// - the budget is claimed *deterministically before* the fan-out: the
+///   same `BTreeSet` a one-by-one filter builds;
+/// - the budget is claimed *before* the candidates are evaluated: the
 ///   meter is charged once per candidate, in index order, and only the
-///   prefix those charges cover — exactly the prefix the sequential
-///   path would evaluate before latching — is evaluated at all. A
-///   partial stage is discarded in both paths, so step counts, stage
-///   counts, and the [`Saturation`] outcome agree;
+///   prefix those charges cover is evaluated at all. A partial stage is
+///   discarded, so step counts, stage counts, and the [`Saturation`]
+///   outcome do not depend on the scheduling;
 /// - an evaluation error is reported for the earliest failing candidate
-///   in index order, as the sequential loop would.
-///
-/// Workers share one concurrently-prewarmed [`EvalCache`]
-/// (system-level facts only) and keep per-worker evaluators, so no
-/// locks sit on the evaluation hot path.
+///   in index order.
 ///
 /// # Errors
 ///
@@ -338,84 +266,10 @@ pub fn construct_budgeted_on(
     budget: Budget,
     pool: &Pool,
 ) -> Result<(GoodRuns, ConstructionReport, Saturation), GoodRunsError> {
-    if pool.jobs() == 1 {
-        return construct_budgeted(system, assumptions, budget);
-    }
-    assumptions.check()?;
-    let meter = BudgetMeter::start(budget);
-    let mut current = GoodRuns::all_runs(system);
-    let all: BTreeSet<usize> = (0..system.len()).collect();
-    for p in assumptions.principals() {
-        current.set(p.clone(), all.clone());
-    }
-    let mut report = ConstructionReport::default();
-    let warmed = EvalCache::prewarm_on(system, pool);
-    'stages: for j in 1..=assumptions.max_depth() {
-        let mut next = current.clone();
-        let mut stage = BTreeMap::new();
-        for p in assumptions.principals() {
-            let mut keep = current.get(p).clone();
-            for f in assumptions.of(p) {
-                if f.belief_depth() != j {
-                    continue;
-                }
-                let Formula::Believes(_, body) = f else {
-                    unreachable!("checked shape");
-                };
-                // Claim the budget up front, in candidate order: the
-                // prefix these charges cover is exactly the prefix the
-                // sequential loop would evaluate before its meter
-                // latched, so steps and outcomes agree.
-                let order: Vec<usize> = keep.iter().copied().collect();
-                let mut budgeted = order.len();
-                for i in 0..order.len() {
-                    if !meter.charge(report.stages.len()) {
-                        budgeted = i;
-                        break;
-                    }
-                }
-                let verdicts = pool.map_init(
-                    &order[..budgeted],
-                    || {
-                        Semantics::new_shared(
-                            system,
-                            current.clone(),
-                            Rc::new(RefCell::new(warmed.clone())),
-                        )
-                    },
-                    |sem, _, &ri| sem.eval(Point::new(ri, 0), body),
-                );
-                let mut surviving = BTreeSet::new();
-                for (i, v) in verdicts.into_iter().enumerate() {
-                    if v? {
-                        surviving.insert(order[i]);
-                    }
-                }
-                if budgeted < order.len() {
-                    // Out of budget mid-stage: the partial stage is
-                    // discarded and the last completed vector stands,
-                    // exactly as in the sequential path.
-                    break 'stages;
-                }
-                keep = surviving;
-            }
-            stage.insert(p.clone(), keep.len());
-            next.set(p.clone(), keep);
-        }
-        report.stages.push(stage);
-        current = next;
-    }
-    let outcome = if meter.exhausted() {
-        Saturation::BudgetExhausted {
-            facts: report.stages.len(),
-            steps: meter.steps(),
-        }
-    } else {
-        Saturation::Complete {
-            new_facts: report.stages.len(),
-        }
-    };
-    Ok((current, report, outcome))
+    let cold = ConstructionCheckpoint::default();
+    let cache = &mut EvalCache::default();
+    construct_in(system, assumptions, budget, &cold, pool, cache)
+        .map(|c| (c.goods, c.report, c.outcome))
 }
 
 /// A per-stage record of a *completed* Section 7 construction, enough to
@@ -492,26 +346,8 @@ pub fn construct_checkpointed_on(
     assumptions: &InitialAssumptions,
     pool: &Pool,
 ) -> Result<(GoodRuns, ConstructionReport, ConstructionCheckpoint), GoodRunsError> {
-    let warmed = EvalCache::prewarm_on(system, pool);
-    construct_checkpointed_with(system, assumptions, pool, &warmed)
-}
-
-/// [`construct_checkpointed_on`] over a caller-prewarmed cache, so serve
-/// sessions reuse the snapshot they already hold.
-pub(crate) fn construct_checkpointed_with(
-    system: &System,
-    assumptions: &InitialAssumptions,
-    pool: &Pool,
-    warmed: &EvalCache,
-) -> Result<(GoodRuns, ConstructionReport, ConstructionCheckpoint), GoodRunsError> {
-    resume_construct_with(
-        system,
-        assumptions,
-        &ConstructionCheckpoint::default(),
-        pool,
-        warmed,
-    )
-    .map(|(g, report, ckpt, _)| (g, report, ckpt))
+    let cold = ConstructionCheckpoint::default();
+    resume_construct_on(system, assumptions, &cold, pool).map(|(g, r, c, _)| (g, r, c))
 }
 
 /// Re-runs the construction for `assumptions`, reusing from `prior`
@@ -532,92 +368,131 @@ pub fn resume_construct_on(
     prior: &ConstructionCheckpoint,
     pool: &Pool,
 ) -> Result<(GoodRuns, ConstructionReport, ConstructionCheckpoint, usize), GoodRunsError> {
-    let warmed = EvalCache::prewarm_on(system, pool);
-    resume_construct_with(system, assumptions, prior, pool, &warmed)
+    let cache = &mut EvalCache::default();
+    construct_in(system, assumptions, Budget::unlimited(), prior, pool, cache)
+        .map(|c| (c.goods, c.report, c.checkpoint, c.reused))
 }
 
-/// [`resume_construct_on`] over a caller-prewarmed cache.
-pub(crate) fn resume_construct_with(
+/// Everything one pass of [`construct_in`] yields; each public entry
+/// point returns the parts its callers ask for.
+pub(crate) struct Construction {
+    pub(crate) goods: GoodRuns,
+    pub(crate) report: ConstructionReport,
+    /// For a later resume; a build its budget cut short leaves it
+    /// partial, so budgeted callers drop it.
+    pub(crate) checkpoint: ConstructionCheckpoint,
+    /// Leading stages taken from the prior checkpoint.
+    pub(crate) reused: usize,
+    pub(crate) outcome: Saturation,
+}
+
+/// The one `G^j` stage loop behind every entry point above. It takes
+/// from `prior` every leading stage whose inputs `assumptions` leave
+/// unchanged (none, for the empty checkpoint of a cold build) and runs
+/// the rest metered against `budget`, charging once per candidate, in
+/// candidate order, before evaluating (see [`construct_budgeted_on`]).
+///
+/// Each candidate filter is one [`Semantics::map_runs`] over `cache`:
+/// at one job `cache` keeps what the filters memoized, at more it ends
+/// up prewarmed. Either way it holds facts about `system` alone, so a
+/// caller can hand it on to a later evaluation over the same system.
+pub(crate) fn construct_in(
     system: &System,
     assumptions: &InitialAssumptions,
+    budget: Budget,
     prior: &ConstructionCheckpoint,
     pool: &Pool,
-    warmed: &EvalCache,
-) -> Result<(GoodRuns, ConstructionReport, ConstructionCheckpoint, usize), GoodRunsError> {
+    cache: &mut EvalCache,
+) -> Result<Construction, GoodRunsError> {
     assumptions.check()?;
+    let meter = BudgetMeter::start(budget);
     let reused = prior.reusable_stages(assumptions);
-    let plain = GoodRuns::all_runs(system);
-    // Re-anchor a stored vector to the *new* assuming-principal set:
+    // Re-anchor each stored vector to the *new* assuming-principal set:
     // explicit entries for exactly those principals, with the stored
     // (semantic) value of each — `get` defaults new principals to "all
-    // runs", which is what the cold construction's initialization gives
-    // them, since a genuinely new principal with depth ≤ `reused`
-    // assumptions would have changed those stages' inputs.
-    let anchor = |stored: Option<&GoodRuns>| {
-        let stored = stored.unwrap_or(&plain);
-        let mut v = GoodRuns::all_runs(system);
+    // runs", which is what a cold build's `G⁰` gives them, since a
+    // genuinely new principal with depth ≤ `reused` assumptions would
+    // have changed those stages' inputs.
+    let plain = GoodRuns::all_runs(system);
+    let anchor = |stored: &GoodRuns| {
+        let mut v = plain.clone();
         for p in assumptions.principals() {
             v.set(p.clone(), stored.get(p).clone());
         }
         v
     };
+    let sizes = |v: &GoodRuns| -> BTreeMap<Principal, usize> {
+        assumptions
+            .principals()
+            .map(|p| (p.clone(), v.get(p).len()))
+            .collect()
+    };
     let mut checkpoint = ConstructionCheckpoint {
-        vectors: (0..=reused).map(|j| anchor(prior.vectors.get(j))).collect(),
+        vectors: (0..=reused)
+            .map(|j| anchor(prior.vectors.get(j).unwrap_or(&plain)))
+            .collect(),
         inputs: stage_inputs(assumptions),
     };
-    let mut report = ConstructionReport::default();
-    for j in 1..=reused {
-        report.stages.push(
-            assumptions
-                .principals()
-                .map(|p| (p.clone(), checkpoint.vectors[j].get(p).len()))
-                .collect(),
-        );
-    }
+    let mut report = ConstructionReport {
+        stages: checkpoint.vectors[1..].iter().map(sizes).collect(),
+    };
     let mut current = checkpoint.vectors[reused].clone();
-    // The replayed suffix is the unbudgeted construction loop, stage
-    // fan-out and merge order included, so the result is bit-identical
-    // to a cold construction at any pool width.
-    for j in (reused + 1)..=assumptions.max_depth() {
+    'stages: for j in (reused + 1)..=assumptions.max_depth() {
         let mut next = current.clone();
-        let mut stage = BTreeMap::new();
         for p in assumptions.principals() {
             let mut keep = current.get(p).clone();
-            for f in assumptions.of(p) {
-                if f.belief_depth() != j {
-                    continue;
-                }
+            for f in assumptions.of(p).iter().filter(|f| f.belief_depth() == j) {
                 let Formula::Believes(_, body) = f else {
                     unreachable!("checked shape");
                 };
-                let order: Vec<usize> = keep.iter().copied().collect();
-                let verdicts = pool.map_init(
-                    &order,
-                    || {
-                        Semantics::new_shared(
-                            system,
-                            current.clone(),
-                            Rc::new(RefCell::new(warmed.clone())),
-                        )
-                    },
-                    |sem, _, &ri| sem.eval(Point::new(ri, 0), body),
+                let candidates: Vec<usize> = keep.into_iter().collect();
+                let charged = candidates
+                    .iter()
+                    .take_while(|_| meter.charge(report.stages.len()))
+                    .count();
+                let verdicts = Semantics::map_runs(
+                    system,
+                    &current,
+                    &candidates[..charged],
+                    pool,
+                    cache,
+                    |sem, ri| sem.eval(Point::new(ri, 0), body),
                 );
-                let mut surviving = BTreeSet::new();
-                for (i, v) in verdicts.into_iter().enumerate() {
-                    if v? {
-                        surviving.insert(order[i]);
+                keep = BTreeSet::new();
+                for (&ri, verdict) in candidates.iter().zip(verdicts) {
+                    if verdict? {
+                        keep.insert(ri);
                     }
                 }
-                keep = surviving;
+                if charged < candidates.len() {
+                    // Out of budget mid-stage: the partial stage is
+                    // discarded and the last completed vector stands.
+                    break 'stages;
+                }
             }
-            stage.insert(p.clone(), keep.len());
             next.set(p.clone(), keep);
         }
-        report.stages.push(stage);
+        report.stages.push(sizes(&next));
         checkpoint.vectors.push(next.clone());
         current = next;
     }
-    Ok((current, report, checkpoint, reused))
+    let outcome = if meter.exhausted() {
+        Saturation::BudgetExhausted {
+            facts: report.stages.len(),
+            steps: meter.steps(),
+        }
+    } else {
+        Saturation::Complete {
+            new_facts: report.stages.len(),
+        }
+    };
+    Ok(Construction {
+        goods: current,
+        report,
+        checkpoint,
+        reused,
+        outcome,
+    })
 }
 
 /// True if `goods` *supports* `assumptions`: every assumption holds at
@@ -889,7 +764,7 @@ mod tests {
         i.assume("A", base.clone());
         i.assume("B", base.clone());
         i.assume("A", Formula::believes("B", base));
-        let (_, report) = construct_with_report(&sys, &i).unwrap();
+        let (_, report) = construct_on(&sys, &i, &Pool::sequential()).unwrap();
         assert_eq!(report.depth(), 2);
         // Stage 1 trims both to the clean run; stage 2 keeps them there.
         assert_eq!(report.stages[0][&Principal::new("A")], 1);
@@ -900,7 +775,7 @@ mod tests {
     #[test]
     fn construction_report_flags_absurd_believers() {
         let (sys, assumptions) = crate::examples::coin_toss();
-        let (_, report) = construct_with_report(&sys, &assumptions).unwrap();
+        let (_, report) = construct_on(&sys, &assumptions, &Pool::sequential()).unwrap();
         let emptied = report.emptied();
         assert_eq!(emptied.len(), 2); // P1 and P3
     }
@@ -910,8 +785,9 @@ mod tests {
         let sys = two_run_system();
         let i = key_assumption();
         // One evaluation is not enough for the two runs of the system.
+        let pool = Pool::sequential();
         let (goods, report, outcome) =
-            construct_budgeted(&sys, &i, Budget::unlimited().steps(1)).unwrap();
+            construct_budgeted_on(&sys, &i, Budget::unlimited().steps(1), &pool).unwrap();
         assert!(matches!(
             outcome,
             Saturation::BudgetExhausted { steps: 1, .. }
@@ -924,7 +800,8 @@ mod tests {
             g
         });
         // An unlimited budget reproduces the exact construction.
-        let (full, _, outcome) = construct_budgeted(&sys, &i, Budget::unlimited()).unwrap();
+        let (full, _, outcome) =
+            construct_budgeted_on(&sys, &i, Budget::unlimited(), &pool).unwrap();
         assert!(outcome.is_complete());
         assert_eq!(full, construct(&sys, &i).unwrap());
     }

@@ -14,7 +14,9 @@
 //! - the per-point memo sets grow monotonically
 //!   ([`EvalCache::extend_appended`]) — only the new point's hidden
 //!   states and accountable sets are computed, everything earlier is
-//!   kept by reference;
+//!   kept by reference — and the one inline evaluator that verdicts an
+//!   event (`Semantics::map_runs` at one job) writes what it memoized
+//!   back into the same cache, also when a formula fails to evaluate;
 //! - the annotation closure advances by **one delta saturation** per
 //!   level ([`AnalysisResume::advance`]), proportional to the new
 //!   event's consequences only.
@@ -43,16 +45,13 @@
 
 use crate::annotate::{analyze_at_resumable, AnalysisResume, AtProtocol};
 use crate::parallel::Pool;
-use crate::semantics::EvalCache;
-use crate::semantics::{verdict_line, GoodRuns, Semantics};
+use crate::semantics::{verdict_line, EvalCache, GoodRuns, Semantics};
 use atl_lang::parser::{parse_formula, ParseError, Symbols};
 use atl_lang::{Formula, Principal};
 use atl_model::wire::MonitorCheckpoint;
 use atl_model::{Action, FeedOutcome, Point, System, TraceError, TraceFeed};
-use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
-use std::rc::Rc;
 
 /// The padding key [`atl_model::RunBuilder::idle`] reserves; idle events
 /// carry no protocol content, so they advance time without a fact.
@@ -311,31 +310,33 @@ impl Monitor {
         self.resume.advance(&self.proto, &[fact]);
     }
 
-    /// Evaluates every watched formula at the run's final point over the
-    /// shared cache, writing lazily-filled memo sets back so they carry
-    /// to the next event.
+    /// Evaluates every watched formula at the run's final point through
+    /// one inline evaluator over the monitor's cache, which keeps the
+    /// memo sets it fills for the next event — also when a formula fails
+    /// to evaluate.
     fn verdict_lines(&mut self) -> Result<Vec<String>, MonitorError> {
         let system = self.system.as_ref().expect("verdicts need a system");
-        let k = system.runs()[0].horizon();
-        let cache = Rc::new(RefCell::new(std::mem::take(&mut self.warmed)));
-        let mut out = Vec::with_capacity(self.formulas.len());
-        let mut verdicts = Vec::with_capacity(self.formulas.len());
-        {
-            let sem = Semantics::new_shared(system, GoodRuns::all_runs(system), Rc::clone(&cache));
-            for phi in &self.formulas {
-                let v = sem
-                    .eval(Point::new(0, k), phi)
-                    .map_err(|e| MonitorError::Eval(e.to_string()))?;
-                out.push(verdict_line(Point::new(0, k), phi, v));
-                verdicts.push(v);
-            }
-        }
-        self.warmed = match Rc::try_unwrap(cache) {
-            Ok(cell) => cell.into_inner(),
-            Err(shared) => shared.borrow().clone(),
-        };
+        let at = Point::new(0, system.runs()[0].horizon());
+        let formulas = &self.formulas;
+        let verdicts = Semantics::map_runs(
+            system,
+            &GoodRuns::all_runs(system),
+            &[0],
+            &Pool::sequential(),
+            &mut self.warmed,
+            |sem, _| {
+                let verdicts = formulas.iter().map(|phi| sem.eval(at, phi));
+                verdicts.collect::<Result<Vec<bool>, _>>()
+            },
+        )
+        .remove(0)
+        .map_err(|e| MonitorError::Eval(e.to_string()))?;
         self.last_verdicts = verdicts;
-        Ok(out)
+        Ok(formulas
+            .iter()
+            .zip(&self.last_verdicts)
+            .map(|(phi, &v)| verdict_line(at, phi, v))
+            .collect())
     }
 
     /// The BAN-style annotation summary for everything ingested so far
@@ -467,6 +468,35 @@ mod tests {
         let err = Monitor::new("t", ["A believes (".to_string()]).unwrap_err();
         assert!(matches!(err, MonitorError::Formula(_)));
         assert!(err.diagnostic("x").starts_with("<formula>:"));
+    }
+
+    /// A watched formula the run cannot evaluate (`$X` is bound by no
+    /// run) errs on every post-epoch event, yet the memo sets evaluated
+    /// so far stay warm for the next event: the monitor reuses exactly
+    /// what a monitor without that formula reuses.
+    #[test]
+    fn failing_formula_keeps_the_cache_warm() {
+        let pool = Pool::new(1);
+        let watch = |formulas: &[&str]| {
+            let mut m = Monitor::new("ds", formulas.iter().map(|f| f.to_string())).unwrap();
+            let (mut verdicts, mut errors) = (0, 0);
+            for line in include_str!("../../../specs/denning_sacco.run").lines() {
+                match m.feed_line(line, &pool) {
+                    Ok(out) => verdicts += out.iter().filter(|l| l.starts_with("at ")).count(),
+                    Err(e) => {
+                        assert!(matches!(e, MonitorError::Eval(_)), "{e}");
+                        errors += 1;
+                    }
+                }
+            }
+            (m.stats(), verdicts, errors)
+        };
+        let (healthy, post_epoch, none) = watch(&["A has Kab"]);
+        assert_eq!(none, 0);
+        assert!(healthy.points_reused > 0, "{healthy:?}");
+        let (failing, verdicts, errors) = watch(&["A has Kab", "B sees $X"]);
+        assert_eq!((verdicts, errors), (0, post_epoch));
+        assert_eq!(failing.points_reused, healthy.points_reused);
     }
 
     #[test]

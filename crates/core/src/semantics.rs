@@ -118,11 +118,15 @@ impl GoodRuns {
 ///
 /// Everything here depends only on the [`System`], not on the good-run
 /// vector, so one cache can be shared by many [`Semantics`] evaluators
-/// over the same system (see [`Semantics::new_shared`]).
+/// over the same system (see [`Semantics::new_shared`]): a fault sweep's
+/// semantic stage builds one and hands it from the good-run
+/// construction to the validity pass.
 ///
-/// Values are [`Arc`]-shared and the cache is `Send + Clone`: the
-/// parallel paths prewarm one cache ([`EvalCache::prewarm_on`]) and hand
-/// each worker a clone, which shares every memoized set by reference.
+/// Values are [`Arc`]-shared and the cache is `Send + Clone`. With one
+/// job, [`Semantics::map_runs`] evaluates over the cache itself; with
+/// more, it prewarms the cache once ([`EvalCache::prewarm_on`]) and
+/// hands each worker a clone, which shares every memoized set by
+/// reference.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct EvalCache {
     terms: TermCache,
@@ -156,70 +160,11 @@ impl EvalCache {
     /// Builds the system-level sets of the cache concurrently: each run's
     /// pre-epoch closure, per-send accountable sets, and every
     /// principal's hidden local state at every point, sharded run-wise
-    /// over `pool`. Workers share a frozen interner seeded with the
-    /// system's sent messages (base IDs stable across workers) and keep
-    /// per-worker scratch [`TermCache`]s that are merged back at join —
-    /// so the result is one coherent cache, whatever the scheduling.
+    /// over `pool` — [`EvalCache::prewarm_delta_on`] with nothing to carry
+    /// over.
     pub(crate) fn prewarm_on(system: &System, pool: &Pool) -> EvalCache {
-        let mut seed = Interner::new();
-        for run in system.runs() {
-            for rec in run.send_records() {
-                seed.message(&rec.message);
-            }
-        }
-        let frozen = Arc::new(seed.freeze());
-        let mut principals: BTreeSet<Principal> = system.principals();
-        principals.insert(Principal::environment());
-
-        let runs: Vec<usize> = (0..system.len()).collect();
-        let (warmed, scratches): (Vec<RunWarm>, Vec<TermCache>) = pool.map_init_collect(
-            &runs,
-            || TermCache::with_base(Arc::clone(&frozen)),
-            |terms, _, &ri| {
-                let run = &system.runs()[ri];
-                let sent: MessageSet = run.sent_before_epoch();
-                let past = Arc::new(submsgs_of_set(sent.iter()));
-                let said = run
-                    .send_records()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, rec)| (i, Arc::new(rec.said_submsgs())))
-                    .collect();
-                let mut hidden = Vec::new();
-                for p in &principals {
-                    for k in run.times() {
-                        let state = run.state(k).expect("time in range");
-                        hidden.push((p.clone(), k, Arc::new(state.local(p).hidden_with(terms))));
-                    }
-                }
-                RunWarm {
-                    ri,
-                    past,
-                    said,
-                    hidden,
-                }
-            },
-        );
-
-        let mut cache = EvalCache {
-            terms: TermCache::with_base(frozen),
-            ..EvalCache::default()
-        };
-        // Runs are disjoint, so inserting per-run slices in run order is
-        // a deterministic merge regardless of which worker built which.
-        for w in warmed {
-            cache.past.insert(w.ri, w.past);
-            for (i, s) in w.said {
-                cache.said_rec.insert((w.ri, i), s);
-            }
-            for (p, k, h) in w.hidden {
-                cache.hidden_at.entry(p).or_default().insert((w.ri, k), h);
-            }
-        }
-        for scratch in scratches {
-            cache.terms.absorb(scratch);
-        }
-        cache
+        let nothing = System::new([]);
+        EvalCache::prewarm_delta_on(system, &nothing, &EvalCache::default(), pool).0
     }
 
     /// Rewarms a cache for an *edited* system, carrying over from `old`
@@ -232,12 +177,15 @@ impl EvalCache {
     /// - a `(principal, point)` hidden state, iff the principal's local
     ///   state at that point is equal.
     ///
-    /// The frozen interner snapshot is kept from `old` when it has one:
-    /// messages new to the edited system intern into per-worker scratch
-    /// layers exactly as evaluation-time terms do, so no snapshot is
-    /// rebuilt. Term ids never reach any output, so the rewarmed cache
-    /// answers byte-identically to [`EvalCache::prewarm_on`] on the
-    /// edited system.
+    /// Workers share a frozen interner (base IDs stable across workers)
+    /// and keep per-worker scratch [`TermCache`]s that are merged back at
+    /// join — so the result is one coherent cache, whatever the
+    /// scheduling. The snapshot is kept from `old` when it has one, and
+    /// seeded with the system's sent messages otherwise: messages new to
+    /// the edited system intern into the scratch layers exactly as
+    /// evaluation-time terms do, so no snapshot is rebuilt. Term ids never
+    /// reach any output, so the rewarmed cache answers byte-identically to
+    /// [`EvalCache::prewarm_on`] on the edited system.
     pub(crate) fn prewarm_delta_on(
         system: &System,
         old_system: &System,
@@ -679,12 +627,9 @@ impl<'a> Semantics<'a> {
     }
 
     /// Evaluates `φ` at every point of `system`, sharded run-wise over
-    /// `pool`, returning the verdicts in [`System::points`] order.
-    ///
-    /// The cache is prewarmed concurrently ([`EvalCache::prewarm_on`]);
-    /// each worker then evaluates with its own cache clone, so verdicts
-    /// are exactly those of a sequential sweep — `tests/e15_parallel.rs`
-    /// holds this path to the single-worker reference.
+    /// `pool` (`Semantics::map_runs`), returning the verdicts in
+    /// [`System::points`] order — exactly those of a sequential sweep;
+    /// `tests/e15_parallel.rs` holds this path to that reference.
     ///
     /// # Errors
     ///
@@ -697,9 +642,13 @@ impl<'a> Semantics<'a> {
         phi: &Formula,
         pool: &Pool,
     ) -> Result<Vec<bool>, SemanticsError> {
-        Self::sweep_results(system, goods, phi, pool)
-            .into_iter()
-            .collect()
+        let runs: Vec<usize> = (0..system.len()).collect();
+        let cache = &mut EvalCache::default();
+        let per_run = Self::map_runs(system, goods, &runs, pool, cache, |sem, ri| {
+            let points = system.runs()[ri].times().map(|k| Point::new(ri, k));
+            points.map(|pt| sem.eval(pt, phi)).collect::<Vec<_>>()
+        });
+        per_run.into_iter().flatten().collect()
     }
 
     /// As [`Semantics::valid`], sharded over `pool`: true iff `φ` holds
@@ -720,51 +669,43 @@ impl<'a> Semantics<'a> {
         Self::valid_all_on(system, goods, std::slice::from_ref(phi), pool).remove(0)
     }
 
-    /// [`Semantics::valid_on`] for each of `phis` through one evaluator:
-    /// each formula's verdict or error is that of its earliest anomaly
-    /// (a false or failing point) in point order, as the sequential
-    /// `valid` gives it, but the evaluation cache is built, and with more
-    /// than one job prewarmed, once for all the formulas.
+    /// [`Semantics::valid_on`] for each of `phis` through one pass over
+    /// the runs (`Semantics::map_runs`): each formula's verdict or
+    /// error is that of its earliest anomaly (a false or failing point)
+    /// in point order, as the sequential `valid` gives it.
     pub fn valid_all_on(
         system: &'a System,
         goods: &GoodRuns,
         phis: &[Formula],
         pool: &Pool,
     ) -> Vec<Result<bool, SemanticsError>> {
-        let anomaly = |r: &Result<bool, SemanticsError>| !matches!(r, Ok(true));
-        if pool.jobs() == 1 {
-            let sem = Semantics::new(system, goods.clone());
-            return phis
-                .iter()
-                .map(|phi| {
-                    system
-                        .points()
-                        .map(|pt| sem.eval(pt, phi))
-                        .find(anomaly)
-                        .unwrap_or(Ok(true))
-                })
-                .collect();
-        }
+        Self::valid_all_in(system, goods, phis, pool, &mut EvalCache::default())
+    }
+
+    /// [`Semantics::valid_all_on`] over the caller's `cache`, which a
+    /// good-run construction over the same system may already have
+    /// filled or prewarmed.
+    pub(crate) fn valid_all_in(
+        system: &'a System,
+        goods: &GoodRuns,
+        phis: &[Formula],
+        pool: &Pool,
+        cache: &mut EvalCache,
+    ) -> Vec<Result<bool, SemanticsError>> {
         // Each run reports every formula's earliest anomaly among its
         // points; merged in run order, the first one is the formula's.
-        let warmed = EvalCache::prewarm_on(system, pool);
         let runs: Vec<usize> = (0..system.len()).collect();
-        let per_run: Vec<Vec<Option<Result<bool, SemanticsError>>>> = pool.map_init(
-            &runs,
-            || Semantics::new_shared(system, goods.clone(), Rc::new(RefCell::new(warmed.clone()))),
-            |sem, _, &ri| {
-                let run = &system.runs()[ri];
-                phis.iter()
-                    .map(|phi| {
-                        run.times()
-                            .map(|k| sem.eval(Point::new(ri, k), phi))
-                            .find(anomaly)
-                    })
-                    .collect()
-            },
-        );
-        let mut verdicts: Vec<Option<Result<bool, SemanticsError>>> =
-            phis.iter().map(|_| None).collect();
+        let per_run = Self::map_runs(system, goods, &runs, pool, cache, |sem, ri| {
+            let run = &system.runs()[ri];
+            phis.iter()
+                .map(|phi| {
+                    run.times()
+                        .map(|k| sem.eval(Point::new(ri, k), phi))
+                        .find(|r| !matches!(r, Ok(true)))
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut verdicts: Vec<Option<Result<bool, SemanticsError>>> = vec![None; phis.len()];
         for run in per_run {
             for (verdict, found) in verdicts.iter_mut().zip(run) {
                 if verdict.is_none() {
@@ -778,34 +719,44 @@ impl<'a> Semantics<'a> {
             .collect()
     }
 
-    /// Per-point evaluation outcomes in [`System::points`] order. With
-    /// one job this *is* the sequential sweep; otherwise runs are dealt
-    /// to workers, each with its own evaluator over a clone of one
-    /// prewarmed cache, and the per-run verdict vectors are merged back
-    /// in run order (deterministic whatever the stealing did).
-    fn sweep_results(
+    /// Maps `f` over `runs`, giving each call an evaluator of `system`
+    /// relative to `goods`, and returns the results in `runs` order —
+    /// the one run-sharded evaluation behind the good-run construction,
+    /// [`Semantics::sweep_on`], [`Semantics::valid_all_on`] and the
+    /// streaming monitor.
+    ///
+    /// With one job the runs go inline through one evaluator over
+    /// `cache` itself, which keeps everything the evaluator memoized.
+    /// With more, `cache` is first prewarmed ([`EvalCache::prewarm_on`])
+    /// unless it already has a frozen base, and each worker evaluates
+    /// over its own clone of it, so `cache` keeps the prewarm only.
+    pub(crate) fn map_runs<T: Send>(
         system: &'a System,
         goods: &GoodRuns,
-        phi: &Formula,
+        runs: &[usize],
         pool: &Pool,
-    ) -> Vec<Result<bool, SemanticsError>> {
+        cache: &mut EvalCache,
+        f: impl Fn(&Semantics<'a>, usize) -> T + Sync,
+    ) -> Vec<T> {
         if pool.jobs() == 1 {
-            let sem = Semantics::new(system, goods.clone());
-            return system.points().map(|pt| sem.eval(pt, phi)).collect();
+            let shared = Rc::new(RefCell::new(std::mem::take(cache)));
+            let sem = Semantics::new_shared(system, goods.clone(), Rc::clone(&shared));
+            let out = runs.iter().map(|&ri| f(&sem, ri)).collect();
+            drop(sem);
+            *cache = Rc::into_inner(shared)
+                .expect("the evaluator was the cache's only other owner")
+                .into_inner();
+            return out;
         }
-        let warmed = EvalCache::prewarm_on(system, pool);
-        let runs: Vec<usize> = (0..system.len()).collect();
-        let per_run: Vec<Vec<Result<bool, SemanticsError>>> = pool.map_init(
-            &runs,
+        if cache.frozen_base().is_none() {
+            *cache = EvalCache::prewarm_on(system, pool);
+        }
+        let warmed = &*cache;
+        pool.map_init(
+            runs,
             || Semantics::new_shared(system, goods.clone(), Rc::new(RefCell::new(warmed.clone()))),
-            |sem, _, &ri| {
-                let run = &system.runs()[ri];
-                run.times()
-                    .map(|k| sem.eval(Point::new(ri, k), phi))
-                    .collect()
-            },
-        );
-        per_run.into_iter().flatten().collect()
+            |sem, _, &ri| f(sem, ri),
+        )
     }
 
     /// Evaluates a ground formula (callers must have resolved parameters).

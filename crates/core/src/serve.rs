@@ -133,8 +133,9 @@
 //! `tests/e19_pool.rs` (pool widths, backpressure, metrics).
 
 use crate::annotate::{analyze_at_resumable, AnalysisResume, AtProtocol};
+use crate::budget::Budget;
 use crate::enact::{enact, enact_with, EnactOptions};
-use crate::goodruns::{construct_checkpointed_with, resume_construct_with, ConstructionCheckpoint};
+use crate::goodruns::{construct_in, ConstructionCheckpoint};
 use crate::hunt::{default_space, hunt_report, HuntSettings};
 use crate::inject::{inject_report, InjectRequest};
 use crate::metrics::{ExtraMetric, MetricKind, ServeMetrics, Verb};
@@ -180,6 +181,11 @@ pub const MAX_DRAIN_BYTES: usize = 16 * MAX_REQUEST_BYTES;
 /// The default serve port (`--port` overrides; `0` asks the OS for an
 /// ephemeral port, which tests use).
 pub const DEFAULT_PORT: u16 = 7641;
+
+/// How `SWEEP` begins its refusal of a shard keyed to another execution
+/// context than the session's. No retry changes the protocol a worker
+/// serves, so the fabric treats this refusal as permanent.
+pub(crate) const CONTEXT_MISMATCH: &str = "context mismatch";
 
 /// Configuration for [`Server::start`].
 #[derive(Clone, Debug)]
@@ -1124,23 +1130,23 @@ fn build_session(
                 .map_or(0, ConstructionCheckpoint::stages);
             (old.goods.clone(), old.checkpoint.clone())
         }
-        (
-            Some(sys),
-            Some(Session {
-                checkpoint: Some(prior),
-                ..
-            }),
-        ) => match resume_construct_with(sys, &beliefs, prior, pool, &warmed) {
-            Ok((g, _, ckpt, reused)) => {
-                reuse.stages = reused;
-                (g, Some(ckpt))
+        (Some(sys), _) => {
+            // A cold build resumes from the empty checkpoint. The loop
+            // fills the cache it is given at one job, so it gets a copy:
+            // the session keeps exactly the warmed cache.
+            let cold = ConstructionCheckpoint::default();
+            let prior = kept
+                .and_then(|old| old.checkpoint.as_ref())
+                .unwrap_or(&cold);
+            let cache = &mut warmed.clone();
+            match construct_in(sys, &beliefs, Budget::unlimited(), prior, pool, cache) {
+                Ok(c) => {
+                    reuse.stages = c.reused;
+                    (c.goods, Some(c.checkpoint))
+                }
+                Err(_) => (GoodRuns::all_runs(sys), None),
             }
-            Err(_) => (GoodRuns::all_runs(sys), None),
-        },
-        (Some(sys), _) => match construct_checkpointed_with(sys, &beliefs, pool, &warmed) {
-            Ok((g, _, ckpt)) => (g, Some(ckpt)),
-            Err(_) => (GoodRuns::all_runs(sys), None),
-        },
+        }
     };
 
     // Response memos answer over (system, goods, symbols) for EVAL and
@@ -1424,7 +1430,7 @@ fn cmd_sweep(state: &Arc<ServerState>, rest: &str) -> Response {
     let context = execution_context_digest(&proto, &options);
     if let Some(asked) = asked.filter(|&asked| asked != context) {
         return Response::err(format!(
-            "context mismatch: the shard names context {asked:016x}, session {} executes {context:016x}",
+            "{CONTEXT_MISMATCH}: the shard names context {asked:016x}, session {} executes {context:016x}",
             session.id
         ));
     }

@@ -15,21 +15,25 @@
 //!    patterns share one annotation pass, each pass is one delta
 //!    saturation of the assumptions' closure, and the passes are sharded
 //!    across the same pool;
-//! 3. the distinct faulted runs become a [`System`] fed to the
-//!    parallel good-run construction and one [`Semantics::valid_all_on`]
-//!    sweep over every goal, so every goal also gets a *semantic* verdict
-//!    over degraded traffic.
+//! 3. the distinct faulted runs become a [`System`](atl_model::System),
+//!    audited run by run ([`validate_run`]), then fed to the good-run
+//!    construction and to one [`Semantics::valid_all_on`] pass over every
+//!    goal, so every goal also gets a *semantic* verdict over degraded
+//!    traffic. Both passes evaluate over one evaluation cache: the
+//!    construction fills it (one job) or prewarms it (more), and the
+//!    validity pass picks it up as it stands.
 //!
 //! Every stage merges by index or first-occurrence order, so the
 //! rendered [`FaultSweepReport`] is byte-identical at every `--jobs`
 //! count — `tests/e16_sweep.rs` holds it to that.
 
 use crate::annotate::{AtProtocol, AtStep};
+use crate::budget::Budget;
 use crate::enact::{enact_with, EnactOptions};
-use crate::goodruns::{construct_on, InitialAssumptions};
+use crate::goodruns::{construct_in, ConstructionCheckpoint, InitialAssumptions};
 use crate::parallel::Pool;
 use crate::prover::{Prover, ProverConfig};
-use crate::semantics::{GoodRuns, Semantics};
+use crate::semantics::{EvalCache, GoodRuns, Semantics};
 use atl_lang::{Formula, Message, Principal};
 use atl_model::{
     sweep_plans_on, validate_run, Action, ExecOptions, ExecutionCache, ExpectPolicy, FaultPlan,
@@ -376,6 +380,12 @@ pub fn fault_sweep_with_cache(
 /// that resolve outcomes differently (the distributed fabric, which
 /// executes plans on remote daemons and persisted stores) feed the very
 /// same annotation/semantics/rendering path as a local sweep.
+///
+/// Its stages: one annotation pass per distinct delivery mask
+/// ([`MaskVerdicts`]), per-plan verdicts in grid order, the audit of
+/// every distinct run, then the semantic stage — the good-run
+/// construction and one validity pass over every goal, both evaluating
+/// over one evaluation cache of the distinct runs' system.
 pub fn survival_report(at: &AtProtocol, outcome: SweepOutcome, pool: &Pool) -> FaultSweepReport {
     // One annotation pass per distinct delivery mask (many plans resolve
     // to the same delivered-step pattern), the baseline's all-kept mask
@@ -443,11 +453,16 @@ pub fn survival_report(at: &AtProtocol, outcome: SweepOutcome, pool: &Pool) -> F
     let semantic: Vec<String> = if system.is_empty() {
         vec!["no runs".to_string(); at.goals.len()]
     } else {
-        let goods = match construct_on(&system, &belief_assumptions(at), pool) {
-            Ok((g, _)) => g,
+        // One evaluation cache for both passes: it holds facts about the
+        // system alone, whatever good-run vector an evaluator uses.
+        let mut cache = EvalCache::default();
+        let (beliefs, unlimited) = (belief_assumptions(at), Budget::unlimited());
+        let cold = ConstructionCheckpoint::default();
+        let goods = match construct_in(&system, &beliefs, unlimited, &cold, pool, &mut cache) {
+            Ok(c) => c.goods,
             Err(_) => GoodRuns::all_runs(&system),
         };
-        Semantics::valid_all_on(&system, &goods, &at.goals, pool)
+        Semantics::valid_all_in(&system, &goods, &at.goals, pool, &mut cache)
             .into_iter()
             .map(|verdict| match verdict {
                 Ok(true) => "valid".to_string(),

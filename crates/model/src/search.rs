@@ -55,6 +55,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The bounds of a mutation search: which values each plan axis may
 /// take. The same space also describes the exhaustive grid
@@ -625,18 +626,31 @@ fn reductions(space: &MutationSpace, plan: &FaultPlan) -> Vec<FaultPlan> {
 }
 
 /// The header of a hunt corpus frame.
-const CORPUS_HEADER: &str = "atl-corpus v2";
+const CORPUS_HEADER: &str = "atl-corpus v3";
 
 /// A directory of persisted hunt discoveries: one [`crate::store`]
 /// frame per class witness, named
 /// `{context:016x}-{fingerprint digest:016x}.corpus` and keyed by the
-/// same two digests. The frame holds only the plan, an input: a resumed
-/// hunt re-executes and re-classifies it (see [`hunt_plans_on`]).
-/// Entries failing verification are deleted on load and simply re-found
-/// by the next hunt.
+/// same two digests. The frame holds the plan, an input (a resumed hunt
+/// re-executes and re-classifies it, see [`hunt_plans_on`]), after its
+/// discovery sequence number:
+///
+/// ```text
+/// seq <n>
+/// <plan wire rendering>
+/// ```
+///
+/// Sequence numbers only grow and are never reused within a store: the
+/// store reads the highest one once, when it opens, and numbers each
+/// save after it. [`load`](HuntStore::load) returns plans in sequence
+/// order, ties broken by digest, so a resumed hunt meets its classes in
+/// the order they were found, whatever the digest function. Entries
+/// failing verification (frames of earlier versions included) are
+/// deleted when read and simply re-found by the next hunt.
 #[derive(Debug)]
 pub struct HuntStore {
     frames: FrameStore,
+    next_seq: AtomicU64,
 }
 
 impl HuntStore {
@@ -646,39 +660,61 @@ impl HuntStore {
     ///
     /// Any [`io::Error`] from creating the directory.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        Ok(HuntStore {
+        let store = HuntStore {
             frames: FrameStore::open(dir)?,
-        })
+            next_seq: AtomicU64::new(0),
+        };
+        store.entries("");
+        Ok(store)
     }
 
-    /// Persists one plan atomically under `context`.
+    /// Persists one plan atomically under `context`, numbered after
+    /// every plan this store has seen.
     ///
     /// # Errors
     ///
     /// Any [`io::Error`] from writing or renaming the entry.
     pub fn save(&self, context: u64, plan: &FaultPlan) -> io::Result<()> {
         let digest = PlanFingerprint::of(plan).digest();
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         self.frames.write(
             &format!("{context:016x}-{digest:016x}.corpus"),
             CORPUS_HEADER,
             &format!("{context:016x} {digest:016x}"),
-            &format!("{}\n", wire::render_plan(plan)),
+            &format!("seq {seq}\n{}\n", wire::render_plan(plan)),
         )
     }
 
-    /// Loads every verifiable plan for `context`, in filename order.
+    /// Loads every verifiable plan for `context`, in discovery order.
     pub fn load(&self, context: u64) -> Vec<FaultPlan> {
-        let names = self.frames.list(&format!("{context:016x}-"), ".corpus");
-        names
-            .iter()
+        let mut entries = self.entries(&format!("{context:016x}-"));
+        entries.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        entries.into_iter().map(|(_, _, plan)| plan).collect()
+    }
+
+    /// Every verifiable entry whose name starts with `prefix`, as
+    /// `(sequence number, name, plan)`, raising the next sequence number
+    /// past each one read.
+    fn entries(&self, prefix: &str) -> Vec<(u64, String, FaultPlan)> {
+        let names = self.frames.list(prefix, ".corpus");
+        let entries: Vec<_> = names
+            .into_iter()
             .filter_map(|name| {
                 let key = name.trim_end_matches(".corpus").replacen('-', " ", 1);
-                self.frames.read(name, CORPUS_HEADER, &key, |body| {
-                    let plan = wire::parse_plan(body.strip_suffix('\n')?).ok()?;
-                    plan.validate().is_ok().then_some(plan)
-                })
+                let (seq, plan) = self.frames.read(&name, CORPUS_HEADER, &key, |body| {
+                    let (seq, plan) = body.strip_suffix('\n')?.split_once('\n')?;
+                    let plan = wire::parse_plan(plan).ok()?;
+                    let seq: u64 = seq.strip_prefix("seq ")?.parse().ok()?;
+                    plan.validate().is_ok().then_some((seq, plan))
+                })?;
+                Some((seq, name, plan))
             })
-            .collect()
+            .collect();
+        for (seq, _, _) in &entries {
+            self.next_seq
+                .fetch_max(seq.saturating_add(1), Ordering::Relaxed);
+        }
+        entries
     }
 }
 
@@ -836,6 +872,39 @@ mod tests {
         std::fs::write(&path, text).unwrap();
         assert!(store.load(context).is_empty());
         assert!(!path.exists(), "corrupt entry should be deleted");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Plans load in the order they were saved, not in digest order, and
+    /// a later store on the same directory (a second hunt) numbers its
+    /// frames after the first one's.
+    #[test]
+    fn corpus_loads_in_discovery_order_across_hunts() {
+        let dir =
+            std::env::temp_dir().join(format!("atl-search-unit-{}-order", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let context = 0xfeed;
+        let mut plans: Vec<FaultPlan> = (0..6).map(|seed| FaultPlan::new(seed).drop(0.5)).collect();
+        // Save in descending digest order, so discovery order and digest
+        // order disagree everywhere.
+        plans.sort_by_key(|plan| std::cmp::Reverse(PlanFingerprint::of(plan).digest()));
+        let (first, second) = plans.split_at(4);
+        let store = HuntStore::open(&dir).unwrap();
+        for plan in first {
+            store.save(context, plan).unwrap();
+        }
+        assert_eq!(store.load(context), first);
+        let store = HuntStore::open(&dir).unwrap();
+        for plan in second {
+            store.save(context, plan).unwrap();
+        }
+        assert_eq!(store.load(context), plans);
+        let last = dir.join(format!(
+            "{context:016x}-{:016x}.corpus",
+            PlanFingerprint::of(&plans[5]).digest()
+        ));
+        let text = std::fs::read_to_string(last).unwrap();
+        assert!(text.contains("\nseq 5\n"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

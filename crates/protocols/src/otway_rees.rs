@@ -84,11 +84,9 @@ pub fn at_protocol() -> AtProtocol {
         .assume(Formula::believes("B", Formula::fresh(nb)))
         .assume(Formula::has("A", Key::new("Kas")))
         .assume(Formula::has("B", Key::new("Kbs")))
-        .step(
-            "S",
-            "B",
-            Message::tuple([b_cert, Message::forwarded(a_cert.clone())]),
-        )
+        // S minted A's certificate, so only B's hop, which relays it,
+        // carries the forwarding mark (restriction 5).
+        .step("S", "B", Message::tuple([b_cert, a_cert.clone()]))
         .step("B", "A", Message::forwarded(a_cert))
         .goal(Formula::believes("A", kab()))
         .goal(Formula::believes("B", kab()))

@@ -189,6 +189,55 @@ mod tests {
         }
     }
 
+    /// Every AT idealization of the suite is enacted and executed
+    /// fault-free, and the run breaks none of restrictions 1–5. The one
+    /// exemption is the reflected protocol, which stalls by design: its
+    /// second step belongs to the environment.
+    #[test]
+    fn every_at_idealization_runs_within_the_restrictions() {
+        use atl_core::enact::enact;
+        use atl_model::{execute_with_faults, validate_run, ExecOptions, FaultPlan};
+        let protocols = [
+            kerberos::figure1_at(),
+            kerberos::full_at(),
+            needham_schroeder::at_protocol(true),
+            needham_schroeder::at_protocol(false),
+            yahalom::at_protocol(true),
+            yahalom::at_protocol(false),
+            otway_rees::at_protocol(),
+            wide_mouthed_frog::at_protocol(),
+            andrew::at_protocol(false),
+            andrew::at_protocol(true),
+            x509::at_protocol(true),
+            x509::at_protocol(false),
+            x509::at_protocol_signed(true),
+            x509::at_protocol_signed(false),
+            nessett::at_protocol(),
+            crate::forwarding::at_protocol(),
+            crate::reflection::at_protocol(),
+            crate::reflection::reflected_at_protocol(),
+        ];
+        let suite: Vec<String> = run_suite()
+            .into_iter()
+            .filter(|e| e.logic == Logic::Reformulated)
+            .map(|e| e.name)
+            .collect();
+        let names: Vec<&String> = protocols.iter().map(|at| &at.name).collect();
+        assert_eq!(names, suite.iter().collect::<Vec<_>>(), "one per AT entry");
+        let stalls = crate::reflection::reflected_at_protocol().name;
+        for at in &protocols {
+            let plan = FaultPlan::new(0);
+            match execute_with_faults(&enact(at), &ExecOptions::default(), &plan) {
+                Ok((run, _)) => {
+                    assert_ne!(at.name, stalls, "the reflected protocol ran");
+                    let violations = validate_run(&run);
+                    assert!(violations.is_empty(), "{}: {violations:?}", at.name);
+                }
+                Err(e) => assert_eq!(at.name, stalls, "{}: {e}", at.name),
+            }
+        }
+    }
+
     #[test]
     fn flawed_variants_fail_partially_not_totally() {
         // Each deliberately flawed variant still achieves some goals —

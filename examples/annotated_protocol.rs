@@ -7,8 +7,8 @@
 //! ```
 
 use atl::ban::{analyze, render_annotated};
-use atl::core::goodruns::construct_with_report;
-use atl::core::goodruns::InitialAssumptions;
+use atl::core::goodruns::{construct_on, InitialAssumptions};
+use atl::core::parallel::Pool;
 use atl::lang::{Formula, Key};
 use atl::model::{random_system, GenConfig};
 use atl::protocols::{needham_schroeder, otway_rees};
@@ -31,7 +31,7 @@ fn main() {
     i.assume("S", base.clone());
     i.assume("B", Formula::believes("S", base.clone()));
     i.assume("A", Formula::believes("B", Formula::believes("S", base)));
-    let (goods, report) = construct_with_report(&sys, &i).expect("construct");
+    let (goods, report) = construct_on(&sys, &i, &Pool::sequential()).expect("construct");
     println!("system of {} runs; {} stages:", sys.len(), report.depth());
     for (j, stage) in report.stages.iter().enumerate() {
         let sizes: Vec<String> = stage

@@ -1,25 +1,35 @@
 //! E15: the parallel engine is *invisible* — equivalence guards for the
 //! work-stealing pool.
 //!
-//! Three layers gained a parallel path: the Section 7 good-run
-//! construction (`construct_budgeted_on`), the semantics sweep
-//! (`Semantics::sweep_on` / `valid_on`), and batch proving
+//! Three layers run over the pool: the Section 7 good-run construction
+//! (one stage loop behind `construct_budgeted_on` and
+//! `resume_construct_on`), the semantics sweep (`Semantics::sweep_on` /
+//! `valid_on`, through one run-sharded evaluator), and batch proving
 //! (`BatchProver`). Each shards work over the pool and merges results in
-//! deterministic order, so the outputs must be bit-identical to the
-//! sequential reference path at every worker count — on every committed
-//! spec and on randomized systems, with and without budgets.
+//! deterministic order, so the outputs must be bit-identical to a
+//! sequential reference at every worker count, one worker included — on
+//! every committed spec and on randomized systems, with and without
+//! budgets. The construction and sweep references below are written
+//! against the public API alone, so they share no code with the paths
+//! they check.
 
-use atl::core::budget::Budget;
+use atl::core::budget::{Budget, BudgetMeter, Saturation};
 use atl::core::enact::enact;
-use atl::core::goodruns::{construct_budgeted, construct_budgeted_on, InitialAssumptions};
+use atl::core::goodruns::{
+    construct_budgeted_on, construct_checkpointed_on, resume_construct_on, ConstructionCheckpoint,
+    ConstructionReport, GoodRunsError, InitialAssumptions,
+};
 use atl::core::parallel::Pool;
 use atl::core::prover::{BatchProver, DerivedRule, Prover};
 use atl::core::semantics::{GoodRuns, Semantics};
 use atl::core::spec::parse_spec;
 use atl::lang::arbitrary::arb_formula;
 use atl::lang::{Formula, Key, Message, Nonce};
-use atl::model::{execute_with_faults, random_system, ExecOptions, FaultPlan, GenConfig, System};
+use atl::model::{
+    execute_with_faults, random_system, ExecOptions, FaultPlan, GenConfig, Point, System,
+};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 const SPECS: &[(&str, &str)] = &[
     ("andrew_flawed", include_str!("../specs/andrew_flawed.atl")),
@@ -37,8 +47,8 @@ const SPECS: &[(&str, &str)] = &[
     ),
 ];
 
-/// The worker counts exercised against the sequential reference.
-const JOBS: &[usize] = &[2, 4];
+/// The worker counts exercised against the sequential references.
+const JOBS: &[usize] = &[1, 2, 4];
 
 /// A faithful (fault-free) execution of a committed spec, as a system.
 fn spec_system(src: &str) -> (System, atl::core::annotate::AtProtocol) {
@@ -72,6 +82,68 @@ fn bodies() -> Vec<Formula> {
     ]
 }
 
+/// Sequential reference construction: one evaluator per stage, the
+/// budget charged right before each evaluation, and the first error
+/// returned at once.
+fn construct_reference(
+    system: &System,
+    assumptions: &InitialAssumptions,
+    budget: Budget,
+) -> Result<(GoodRuns, ConstructionReport, Saturation), GoodRunsError> {
+    assumptions.check()?;
+    let meter = BudgetMeter::start(budget);
+    let mut current = GoodRuns::all_runs(system);
+    let all: BTreeSet<usize> = (0..system.len()).collect();
+    // Make every assuming principal explicit so `set` updates land.
+    for p in assumptions.principals() {
+        current.set(p.clone(), all.clone());
+    }
+    let mut report = ConstructionReport::default();
+    'stages: for j in 1..=assumptions.max_depth() {
+        let sem = Semantics::new(system, current.clone());
+        let mut next = current.clone();
+        let mut stage = BTreeMap::new();
+        for p in assumptions.principals() {
+            let mut keep = current.get(p).clone();
+            for f in assumptions.of(p) {
+                if f.belief_depth() != j {
+                    continue;
+                }
+                let Formula::Believes(_, body) = f else {
+                    unreachable!("checked shape");
+                };
+                let mut surviving = BTreeSet::new();
+                for &ri in &keep {
+                    if !meter.charge(report.stages.len()) {
+                        // Out of budget mid-stage: the partial stage is
+                        // discarded and the last completed vector stands.
+                        break 'stages;
+                    }
+                    if sem.eval(Point::new(ri, 0), body)? {
+                        surviving.insert(ri);
+                    }
+                }
+                keep = surviving;
+            }
+            stage.insert(p.clone(), keep.len());
+            next.set(p.clone(), keep);
+        }
+        report.stages.push(stage);
+        current = next;
+    }
+    let outcome = if meter.exhausted() {
+        Saturation::BudgetExhausted {
+            facts: report.stages.len(),
+            steps: meter.steps(),
+        }
+    } else {
+        Saturation::Complete {
+            new_facts: report.stages.len(),
+        }
+    };
+    Ok((current, report, outcome))
+}
+
 /// Sequential reference sweep: one evaluator, every point in order,
 /// collected with the same first-error semantics as `sweep_on`.
 fn sweep_reference(
@@ -83,22 +155,26 @@ fn sweep_reference(
     sys.points().map(|pt| sem.eval(pt, phi)).collect()
 }
 
-/// On every committed spec, the parallel good-run construction and the
-/// parallel sweep over each goal agree exactly with the sequential path.
+/// On every committed spec, the good-run construction and the sweep
+/// over each goal agree exactly with the sequential references, budgeted
+/// or not.
 #[test]
 fn specs_construct_and_sweep_identically_at_every_worker_count() {
     for (name, src) in SPECS {
         let (sys, at) = spec_system(src);
         let assumptions = spec_assumptions(&at);
-        let seq = construct_budgeted(&sys, &assumptions, Budget::unlimited());
-        for &jobs in JOBS {
-            let pool = Pool::new(jobs);
-            let par = construct_budgeted_on(&sys, &assumptions, Budget::unlimited(), &pool);
-            assert_eq!(
-                seq, par,
-                "{name}: good-run construction differs at {jobs} workers"
-            );
+        for budget in [Budget::unlimited().steps(1), Budget::unlimited()] {
+            let want = construct_reference(&sys, &assumptions, budget);
+            for &jobs in JOBS {
+                let pool = Pool::new(jobs);
+                assert_eq!(
+                    construct_budgeted_on(&sys, &assumptions, budget, &pool),
+                    want,
+                    "{name}: good-run construction under {budget} differs at {jobs} workers"
+                );
+            }
         }
+        let seq = construct_reference(&sys, &assumptions, Budget::unlimited());
         let goods = match &seq {
             Ok((g, _, _)) => g.clone(),
             Err(_) => GoodRuns::all_runs(&sys),
@@ -159,8 +235,8 @@ fn specs_batch_prover_matches_sequential() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The parallel good-run construction is bit-identical to the
-    /// sequential one on random systems: same good-run vectors, same
+    /// The good-run construction is bit-identical to the sequential
+    /// reference on random systems: same good-run vectors, same
     /// per-stage report, same saturation outcome.
     #[test]
     fn random_goodruns_equivalent(
@@ -175,10 +251,52 @@ proptest! {
             let p = if n % 2 == 0 { "A" } else { "B" };
             i.assume(p, pool_bodies[b].clone());
         }
-        let seq = construct_budgeted(&sys, &i, Budget::unlimited());
+        let seq = construct_reference(&sys, &i, Budget::unlimited());
         for &jobs in JOBS {
             let par = construct_budgeted_on(&sys, &i, Budget::unlimited(), &Pool::new(jobs));
             prop_assert_eq!(&seq, &par, "{} workers", jobs);
+        }
+    }
+
+    /// Resuming from the checkpoint of one assumption vector after a
+    /// random edit (a kept prefix of the old assumptions plus new ones,
+    /// at belief depths 1 and 2) gives what the reference builds cold
+    /// for the edited vector.
+    #[test]
+    fn random_resume_matches_reference(
+        runs in 1usize..4,
+        seed in 0u64..32,
+        picks in proptest::collection::vec((0usize..3, 0usize..6, 1usize..3), 1..5),
+        kept in 0usize..5,
+        added in proptest::collection::vec((0usize..3, 0usize..6, 1usize..3), 0..3),
+    ) {
+        let sys = random_system(&GenConfig::default(), runs, seed);
+        let pool_bodies = bodies();
+        let principals = ["A", "B", "S"];
+        let assume = |picks: &[(usize, usize, usize)]| {
+            let mut i = InitialAssumptions::new();
+            for &(p, b, depth) in picks {
+                let body = pool_bodies[b].clone();
+                if depth == 2 {
+                    let q = principals[(p + 1) % principals.len()];
+                    i.assume(principals[p], Formula::believes(q, body));
+                } else {
+                    i.assume(principals[p], body);
+                }
+            }
+            i
+        };
+        let old = assume(&picks);
+        let edited: Vec<_> = picks[..kept.min(picks.len())].iter().chain(&added).copied().collect();
+        let new = assume(&edited);
+        let want = construct_reference(&sys, &new, Budget::unlimited()).map(|(g, r, _)| (g, r));
+        for jobs in [1, 2] {
+            let pool = Pool::new(jobs);
+            let prior = construct_checkpointed_on(&sys, &old, &pool)
+                .map(|(_, _, ckpt)| ckpt)
+                .unwrap_or_else(|_| ConstructionCheckpoint::default());
+            let got = resume_construct_on(&sys, &new, &prior, &pool).map(|(g, r, _, _)| (g, r));
+            prop_assert_eq!(&got, &want, "{} workers", jobs);
         }
     }
 
@@ -196,7 +314,7 @@ proptest! {
         i.assume("B", Formula::shared_key("A", Key::new("Kas"), "S"));
         i.assume("A", Formula::believes("B", Formula::shared_key("A", Key::new("Kas"), "S")));
         let budget = Budget::unlimited().steps(steps);
-        let seq = construct_budgeted(&sys, &i, budget);
+        let seq = construct_reference(&sys, &i, budget);
         for &jobs in JOBS {
             let par = construct_budgeted_on(&sys, &i, budget, &Pool::new(jobs));
             prop_assert_eq!(&seq, &par, "{} workers, {} steps", jobs, steps);

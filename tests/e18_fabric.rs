@@ -419,6 +419,9 @@ fn worker_serving_another_protocol_is_refused() {
     assert_eq!(report.to_string(), want);
     assert_eq!(stats.remote_resolved, 0, "{stats}");
     assert_eq!(stats.workers_lost, 1, "{stats}");
+    // The refusal is permanent: the shard goes back to the queue at once,
+    // without a retry.
+    assert_eq!(stats.requeues, 0, "{stats}");
     stop(server);
 }
 
