@@ -2,7 +2,7 @@
 //!
 //! The annotation procedure ([`analyze_at`](crate::annotate::analyze_at))
 //! reasons about an [`AtProtocol`] symbolically; this module turns the
-//! same description into an executable [`Protocol`](atl_model::Protocol)
+//! same description into an executable [`Protocol`]
 //! for the Section 5 model, so the *run* a protocol induces can be
 //! produced, audited against restrictions 1–5, and subjected to fault
 //! injection ([`atl_model::execute_with_faults`]).

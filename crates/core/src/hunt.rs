@@ -11,7 +11,7 @@
 //! 1. the idealized protocol is enacted and hunted over the pool with a
 //!    shared [`ExecutionCache`];
 //! 2. each executed plan's run is projected onto the idealized protocol
-//!    ([`delivery_mask`]) and its goals re-checked through
+//!    (`delivery_mask`) and its goals re-checked through
 //!    [`MaskVerdicts`], once per distinct mask — the signature is the
 //!    per-goal survived/lost/unproven vector plus which fault kinds fired
 //!    and how many steps were abandoned;

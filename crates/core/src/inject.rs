@@ -6,7 +6,7 @@
 //! printed: execution summary, injected faults, the restriction 1–5
 //! audit, and which annotation-procedure beliefs survive the
 //! degradation. Execution is routed through
-//! [`sweep_plans_on`](atl_model::sweep_plans_on) with a caller-supplied
+//! [`sweep_plans_on`] with a caller-supplied
 //! [`ExecutionCache`], so a long-lived process (the daemon) answers
 //! repeated plans as reference bumps while a one-shot CLI invocation
 //! just passes a fresh cache — the report bytes are identical either

@@ -12,7 +12,7 @@
 //!
 //! - the run grows **in place** ([`System::extend_run`]), no rebuild;
 //! - the per-point memo sets grow monotonically
-//!   ([`EvalCache::extend_appended`]) — only the new point's hidden
+//!   (`EvalCache::extend_appended`) — only the new point's hidden
 //!   states and accountable sets are computed, everything earlier is
 //!   kept by reference — and the one inline evaluator that verdicts an
 //!   event (`Semantics::map_runs` at one job) writes what it memoized
@@ -52,10 +52,6 @@ use atl_model::wire::MonitorCheckpoint;
 use atl_model::{Action, FeedOutcome, Point, System, TraceError, TraceFeed};
 use std::error::Error;
 use std::fmt;
-
-/// The padding key [`atl_model::RunBuilder::idle`] reserves; idle events
-/// carry no protocol content, so they advance time without a fact.
-const PAD_KEY: &str = "__pad";
 
 /// Why a monitor rejected input.
 ///
@@ -208,7 +204,10 @@ impl Monitor {
     ///
     /// [`MonitorError::Trace`] on a malformed line (the line is *not*
     /// recorded; the session continues), [`MonitorError::Formula`] if a
-    /// watched formula fails to parse against the header's symbols.
+    /// watched formula fails to parse against the header's symbols,
+    /// [`MonitorError::Eval`] if a watched formula fails to evaluate (the
+    /// line is recorded and the session continues: see
+    /// [`Self::line_count`]).
     pub fn feed_line(&mut self, raw: &str, pool: &Pool) -> Result<Vec<String>, MonitorError> {
         let outcome = self.feed.feed(raw)?;
         self.lines.push(raw.to_string());
@@ -237,12 +236,12 @@ impl Monitor {
                 .expect("events imply a builder")
                 .initial_state();
             let mut seeds = Vec::new();
-            for (p, local) in &initial.locals {
-                for key in &local.key_set {
+            for p in initial.principals() {
+                for key in initial.key_set(p) {
                     seeds.push(Formula::has(p.clone(), key.clone()));
                 }
             }
-            for key in &initial.env.key_set {
+            for key in initial.env_key_set() {
                 seeds.push(Formula::has(Principal::environment(), key.clone()));
             }
             for f in &seeds {
@@ -273,11 +272,7 @@ impl Monitor {
             Some(system) => {
                 let builder = self.feed.builder().expect("events imply a builder");
                 let from = system.runs()[0].horizon();
-                system.extend_run(
-                    0,
-                    builder.last_event().expect("just stepped").clone(),
-                    builder.current_state().clone(),
-                );
+                system.extend_run(0, builder.last_event().expect("just stepped").clone());
                 let stats = self.warmed.extend_appended(system, 0, from);
                 self.stats.points_reused += stats.reused;
                 self.stats.delta_saturations += 1;
@@ -294,16 +289,14 @@ impl Monitor {
         let Some(event) = self.feed.builder().and_then(|b| b.last_event()) else {
             return;
         };
+        if event.is_idle() {
+            return;
+        }
         let actor = event.actor.clone();
         let fact = match &event.action {
             Action::Send { message, .. } => Formula::said(actor, message.clone()),
             Action::Receive { message } => Formula::sees(actor, message.clone()),
-            Action::NewKey { key } => {
-                if actor == Principal::environment() && key.as_str() == PAD_KEY {
-                    return;
-                }
-                Formula::has(actor, key.clone())
-            }
+            Action::NewKey { key } => Formula::has(actor, key.clone()),
         };
         let proto = std::mem::replace(&mut self.proto, AtProtocol::new(""));
         self.proto = proto.assume(fact.clone());
@@ -356,19 +349,32 @@ impl Monitor {
         }
     }
 
+    /// How many lines the monitor has recorded: every line fed to it
+    /// except those [`MonitorError::Trace`] rejected. A checkpoint holds
+    /// exactly these lines, so a caller persisting checkpoints writes one
+    /// whenever this count grows — also after a line whose verdicts
+    /// failed.
+    pub fn line_count(&self) -> usize {
+        self.lines.len()
+    }
+
     /// Rebuilds a session from a checkpoint by replaying its recorded
     /// lines through the live path; the result is indistinguishable
-    /// from a session that never went down.
+    /// from a session that never went down. A line whose verdicts fail
+    /// to evaluate is replayed past, as the live session went on past it.
     ///
     /// # Errors
     ///
-    /// Any [`MonitorError`] the original session would have raised —
-    /// a checkpoint only records lines that were accepted, so an error
-    /// here means the checkpoint is stale or hand-edited.
+    /// A [`MonitorError::Trace`] or [`MonitorError::Formula`] — a
+    /// checkpoint only records lines the trace grammar accepted, so such
+    /// an error means the checkpoint is stale or hand-edited.
     pub fn resume(cp: &MonitorCheckpoint, pool: &Pool) -> Result<Monitor, MonitorError> {
         let mut monitor = Monitor::new(cp.name.clone(), cp.formulas.clone())?;
         for line in &cp.lines {
-            monitor.feed_line(line, pool)?;
+            match monitor.feed_line(line, pool) {
+                Ok(_) | Err(MonitorError::Eval(_)) => {}
+                Err(e) => return Err(e),
+            }
         }
         Ok(monitor)
     }
@@ -497,6 +503,39 @@ mod tests {
         let (failing, verdicts, errors) = watch(&["A has Kab", "B sees $X"]);
         assert_eq!((verdicts, errors), (0, post_epoch));
         assert_eq!(failing.points_reused, healthy.points_reused);
+    }
+
+    /// A monitor whose verdicts fail on every post-epoch line checkpoints
+    /// all of its lines, and resumes from them to the stats and the next
+    /// outputs of the monitor that never went down.
+    #[test]
+    fn resume_replays_past_lines_whose_verdicts_failed() {
+        let pool = Pool::new(1);
+        let lines: Vec<&str> = include_str!("../../../specs/denning_sacco.run")
+            .lines()
+            .collect();
+        let split = lines.len() - 3;
+        let formulas = ["A has Kab".to_string(), "B sees $X".to_string()];
+        let mut live = Monitor::new("ds", formulas).unwrap();
+        let mut failed = 0;
+        for line in &lines[..split] {
+            if let Err(e) = live.feed_line(line, &pool) {
+                assert!(matches!(e, MonitorError::Eval(_)), "{e}");
+                failed += 1;
+            }
+        }
+        assert!(failed > 0, "the fixture must fail some verdicts");
+        let cp = live.checkpoint(1);
+        assert_eq!(cp.lines.len(), split);
+        let mut resumed = Monitor::resume(&cp, &pool).unwrap();
+        assert_eq!(resumed.stats(), live.stats());
+        for line in &lines[split..] {
+            let next = live.feed_line(line, &pool);
+            assert!(next.is_err());
+            assert_eq!(resumed.feed_line(line, &pool), next);
+        }
+        assert_eq!(resumed.stats(), live.stats());
+        assert_eq!(resumed.summary(), live.summary());
     }
 
     #[test]

@@ -27,7 +27,7 @@ use atl_lang::{
     can_see, submsgs_of_set, CacheStats, Formula, Interner, KeyTerm, Message, MessageSet,
     Principal, TermCache,
 };
-use atl_model::{LocalState, Point, Run, SendRecord, System};
+use atl_model::{LocalState, Point, Run, SendRecord, StateView, System};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
@@ -318,9 +318,9 @@ impl EvalCache {
     ///   is ≥ 0), so the pre-epoch sent set cannot grow;
     /// - `said_rec`: send records are append-only, existing indices are
     ///   untouched;
-    /// - `hidden_at` / `seen_at`: the only retroactive edit an append
-    ///   makes is popping a delivered message from an env *buffer* at the
-    ///   old final state ([`Run::extend_unchecked`]), and no local view —
+    /// - `hidden_at` / `seen_at`: the only earlier state an append reads
+    ///   differently is the old final state's env *buffer*, which loses a
+    ///   delivered message ([`Run::extend_unchecked`]), and no local view —
     ///   hence no hidden state and no seen set — reads buffers.
     pub(crate) fn extend_appended(
         &mut self,
@@ -400,7 +400,7 @@ pub fn verdict_line(point: Point, phi: &Formula, verdict: bool) -> String {
 /// hidden local state once, up front; [`Semantics::without_belief_cache`]
 /// disables this (the ablation measured by `bench_ablation_belief_cache`).
 /// Term-level operations (`hide`, seen/said submessage sets, the
-/// pre-epoch closure) are memoized in an [`EvalCache`];
+/// pre-epoch closure) are memoized in an `EvalCache`;
 /// [`Semantics::without_term_cache`] disables that layer alone.
 ///
 /// # Examples
@@ -459,7 +459,7 @@ fn hidden_at(
     cache: &Option<Rc<RefCell<EvalCache>>>,
     ri: usize,
     k: i64,
-    state: &atl_model::GlobalState,
+    state: StateView<'_>,
     p: &Principal,
 ) -> Arc<LocalState> {
     let Some(cache) = cache else {
@@ -825,7 +825,7 @@ impl<'a> Semantics<'a> {
                     let local = state.local(p);
                     let mut set = MessageSet::new();
                     for m in &local.received() {
-                        set.extend(c.terms.seen_submsgs(m, &local.key_set).iter().cloned());
+                        set.extend(c.terms.seen_submsgs(m, local.key_set()).iter().cloned());
                     }
                     let rc = Arc::new(set);
                     c.seen_at
@@ -841,7 +841,7 @@ impl<'a> Semantics<'a> {
         local
             .received()
             .iter()
-            .any(|m| can_see(x, m, &local.key_set))
+            .any(|m| can_see(x, m, local.key_set()))
     }
 
     /// The accountable submessages of the `idx`-th send record of run
@@ -1486,11 +1486,7 @@ mod tests {
             let extend = |b: &mut RunBuilder, sys: &mut System, warmed: &mut EvalCache| {
                 let from = sys.runs()[0].horizon();
                 let before = warmed.entry_count();
-                sys.extend_run(
-                    0,
-                    b.last_event().unwrap().clone(),
-                    b.current_state().clone(),
-                );
+                sys.extend_run(0, b.last_event().unwrap().clone());
                 let stats = warmed.extend_appended(sys, 0, from);
                 // Every pre-append entry is kept; only the new point's
                 // sets are added.
@@ -1576,11 +1572,7 @@ mod tests {
         let old = EvalCache::prewarm_on(&old_sys, &pool);
         let mut extended = old_sys.clone();
         b.new_key("B", "Late");
-        extended.extend_run(
-            0,
-            b.last_event().unwrap().clone(),
-            b.current_state().clone(),
-        );
+        extended.extend_run(0, b.last_event().unwrap().clone());
         let (_, stats) = EvalCache::prewarm_delta_on(&extended, &old_sys, &old, &pool);
         assert_eq!(stats.reused, old.entry_count(), "zero points invalidated");
         assert!(stats.total > stats.reused, "the new point is fresh work");

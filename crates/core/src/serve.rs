@@ -3,9 +3,9 @@
 //!
 //! The one-shot CLI re-parses and re-analyzes a spec on every
 //! invocation. [`Server`] instead holds each loaded spec in a
-//! [`Session`]: the parsed [`AtProtocol`], the pre-rendered analysis
+//! `Session`: the parsed [`AtProtocol`], the pre-rendered analysis
 //! report, the fault-free execution as a [`System`], the Section 7
-//! good-run vector, and an [`EvalCache`] prewarmed over an
+//! good-run vector, and an `EvalCache` prewarmed over an
 //! `Arc<FrozenInterner>` snapshot — so repeat queries are cache
 //! lookups, not reconstructions. Fault-plan executions go through one
 //! **server-global** [`ExecutionCache`] keyed by `(protocol+options
@@ -104,7 +104,7 @@
 //! previous fixpoint when assumptions were only added or reordered
 //! (delta saturation), the enacted protocol — and with it the executed
 //! [`System`], the frozen-interner snapshot, and the warmed
-//! [`EvalCache`] — is kept whenever the edit is goal/belief-only, the
+//! `EvalCache` — is kept whenever the edit is goal/belief-only, the
 //! Section 7 construction resumes from the first invalidated stage via
 //! its [`ConstructionCheckpoint`], and an edited system rewarms its
 //! cache pointwise ([`EvalCache` delta prewarm]) instead of from
@@ -1562,13 +1562,13 @@ fn cmd_event(state: &Arc<ServerState>, rest: &str) -> Response {
         return Response::err(format!("no monitor {id}"));
     };
     let mut guard = monitor.lock().unwrap_or_else(PoisonError::into_inner);
-    let before = guard.stats();
+    let (before, recorded) = (guard.stats(), guard.line_count());
     let outcome = guard.feed_line(line, &state.pool);
     let after = guard.stats();
-    // Checkpointed under the monitor's lock, so checkpoints land in the
-    // order events were acknowledged and the file always holds the
-    // latest one.
-    if outcome.is_ok() {
+    // Checkpointed under the monitor's lock whenever the monitor recorded
+    // the line — also when its verdicts failed — so checkpoints land in
+    // the order lines were fed and the file always holds the latest one.
+    if guard.line_count() > recorded {
         persist_monitor(state, id, &guard);
     }
     drop(guard);
@@ -1605,9 +1605,11 @@ fn persist_monitor(state: &ServerState, id: u64, monitor: &Monitor) {
 }
 
 /// Replay every checkpoint in the store at startup, so monitor sessions
-/// survive a daemon restart. An invalid checkpoint is deleted by the
-/// store's read, and one whose trace no longer replays is skipped: a bad
-/// file must not stop the server from coming up.
+/// survive a daemon restart — also those whose verdicts failed to
+/// evaluate ([`Monitor::resume`] replays past such lines). An invalid
+/// checkpoint is deleted by the store's read, and one whose trace no
+/// longer parses is skipped: a bad file must not stop the server from
+/// coming up.
 fn resume_monitors(state: &Arc<ServerState>, store: &FrameStore) {
     for name in store.list("monitor-", "") {
         let Some(id) = name
@@ -3017,6 +3019,78 @@ mod tests {
                 .any(|l| l.starts_with("monitor: 2 session(s), 3 event(s),")),
             "missing resumed monitor counters in:\n{stats}"
         );
+        c.shutdown().expect("shutdown");
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A monitor whose verdicts fail (`$X` is bound by no run) keeps
+    /// every line it recorded across a restart, beside a healthy monitor
+    /// fed the same trace: the `monitor:` STATS line is unchanged, and
+    /// both answer the rest of the trace like monitors that never went
+    /// down.
+    #[test]
+    fn monitors_with_failing_verdicts_survive_a_daemon_restart() {
+        let dir = std::env::temp_dir().join(format!(
+            "atl-serve-unit-{}-monitor-failing",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServeConfig {
+            port: 0,
+            pool: Pool::new(1),
+            monitor_store: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let watched: [&[&str]; 2] = [&["Env has Kab"], &["Env has Kab", "B sees $X"]];
+        let lines: Vec<&str> = include_str!("../../../specs/ns_compromised.run")
+            .lines()
+            .collect();
+        let split = lines.len() - 2;
+        let monitor_line = |c: &mut Client| {
+            let stats = c.request("STATS").expect("stats").payload();
+            let line = stats.lines().find(|l| l.starts_with("monitor: "));
+            line.expect("a monitor line").to_string()
+        };
+
+        let server = Server::start(config.clone()).expect("bind");
+        let mut c = Client::connect(server.addr()).expect("connect");
+        for formulas in watched {
+            let opened = c.request(&format!("MONITOR {}", formulas.join(";")));
+            assert!(opened.expect("monitor").ok);
+        }
+        for line in &lines[..split] {
+            for id in 1..=watched.len() {
+                c.request(&format!("EVENT {id} {line}")).expect("event");
+            }
+        }
+        let before = monitor_line(&mut c);
+        c.shutdown().expect("shutdown");
+        server.join();
+
+        let server = Server::start(config).expect("rebind");
+        let mut c = Client::connect(server.addr()).expect("reconnect");
+        assert_eq!(monitor_line(&mut c), before);
+        let pool = Pool::new(1);
+        for (i, formulas) in watched.iter().enumerate() {
+            let id = i + 1;
+            let texts = formulas.iter().map(|f| f.to_string());
+            let mut reference = Monitor::new(format!("monitor-{id}"), texts).expect("reference");
+            for line in &lines[..split] {
+                let _ = reference.feed_line(line, &pool);
+            }
+            for line in &lines[split..] {
+                let resp = c.request(&format!("EVENT {id} {line}")).expect("event");
+                match reference.feed_line(line, &pool) {
+                    Ok(out) => assert_eq!(resp.lines, out, "monitor {id} on {line:?}"),
+                    Err(e) => assert_eq!(
+                        resp.err_message(),
+                        Some(e.diagnostic("event").as_str()),
+                        "monitor {id} on {line:?}"
+                    ),
+                }
+            }
+        }
         c.shutdown().expect("shutdown");
         server.join();
         let _ = std::fs::remove_dir_all(&dir);

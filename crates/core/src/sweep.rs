@@ -6,7 +6,7 @@
 //! --sweep` prints:
 //!
 //! 1. the idealized protocol is enacted
-//!    ([`enact_with`](crate::enact::enact_with)) and the grid executed
+//!    ([`enact_with`]) and the grid executed
 //!    over the pool ([`sweep_plans_on`]), with an [`ExecutionCache`] so
 //!    overlapping grid points (and the inert baseline plan) run once;
 //! 2. each surviving run is projected back onto the idealized protocol

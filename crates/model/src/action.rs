@@ -94,6 +94,9 @@ pub struct Event {
     pub action: Action,
 }
 
+/// The key an idle step acquires (see [`Event::idle`]).
+const PAD_KEY: &str = "__pad";
+
 impl Event {
     /// Creates an event.
     pub fn new(actor: impl Into<Principal>, action: Action) -> Self {
@@ -101,6 +104,19 @@ impl Event {
             actor: actor.into(),
             action,
         }
+    }
+
+    /// An idle step: no principal acts, but time advances. It is logged
+    /// as the environment acquiring the reserved padding key `__pad`; it
+    /// is in no history, but `__pad` joins the environment's key set.
+    pub fn idle() -> Self {
+        Event::new(Principal::environment(), Action::new_key(PAD_KEY))
+    }
+
+    /// True for an idle step ([`Event::idle`]).
+    pub fn is_idle(&self) -> bool {
+        matches!(&self.action, Action::NewKey { key } if key.as_str() == PAD_KEY)
+            && self.actor.is_environment()
     }
 }
 

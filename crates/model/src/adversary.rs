@@ -137,7 +137,7 @@ fn try_random_action(
     match rng.gen_range(0..4u8) {
         // Receive something buffered.
         0 => {
-            let buffered = builder.current_state().env.buffer(actor).to_vec();
+            let buffered = builder.buffer(actor).to_vec();
             if buffered.is_empty() {
                 return false;
             }
@@ -171,10 +171,10 @@ fn random_message(
     rng: &mut StdRng,
 ) -> Option<Message> {
     let local = builder.current_state().local(actor);
-    let seen: Vec<Message> = seen_submsgs_of_set(local.received().iter(), &local.key_set)
+    let seen: Vec<Message> = seen_submsgs_of_set(local.received().iter(), local.key_set())
         .into_iter()
         .collect();
-    let held: Vec<Key> = local.key_set.iter().cloned().collect();
+    let held: Vec<Key> = local.key_set().iter().cloned().collect();
     fn fresh(config: &GenConfig, rng: &mut StdRng) -> Message {
         Message::nonce(config.nonce_pool[rng.gen_range(0..config.nonce_pool.len())].clone())
     }

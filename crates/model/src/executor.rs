@@ -463,7 +463,7 @@ impl<'a> Driver<'a> {
             .filter(|w| &w.recipient == p && w.active(self.round))
             .map(|w| &w.message)
             .collect();
-        for m in self.builder.current_state().env.buffer(p) {
+        for m in self.builder.buffer(p) {
             if let Some(pos) = suppressed.iter().position(|s| *s == m) {
                 suppressed.swap_remove(pos);
                 continue;
@@ -584,7 +584,7 @@ impl<'a> Driver<'a> {
     fn perform_replay(&mut self, pick: u64, to: &Principal) {
         let env_local = self.builder.current_state().local(&self.env);
         let mut seen: Vec<Message> =
-            seen_submsgs_of_set(env_local.received().iter(), &env_local.key_set)
+            seen_submsgs_of_set(env_local.received().iter(), env_local.key_set())
                 .into_iter()
                 .filter(|m| m.is_ground())
                 .collect();
@@ -722,9 +722,7 @@ mod tests {
         let env_buffer = run
             .state(run.horizon())
             .unwrap()
-            .env
-            .buffer(&Principal::environment())
-            .to_vec();
+            .buffer(&Principal::environment());
         assert!(env_buffer.contains(&nonce("ping")));
         assert!(env_buffer.contains(&nonce("pong")));
     }
@@ -892,14 +890,8 @@ mod tests {
         // consumed, one remains buffered.
         assert_eq!(run.send_records().len(), 4);
         let final_state = run.state(run.horizon()).unwrap();
-        assert_eq!(
-            final_state.env.buffer(&Principal::new("A")),
-            [nonce("pong")]
-        );
-        assert_eq!(
-            final_state.env.buffer(&Principal::new("B")),
-            [nonce("ping")]
-        );
+        assert_eq!(final_state.buffer(&Principal::new("A")), [nonce("pong")]);
+        assert_eq!(final_state.buffer(&Principal::new("B")), [nonce("ping")]);
     }
 
     #[test]
@@ -937,8 +929,7 @@ mod tests {
                 .state(run.horizon())
                 .unwrap()
                 .local(&c)
-                .history
-                .iter()
+                .history()
                 .filter_map(|a| match a {
                     crate::action::Action::Receive { message } => Some(message.clone()),
                     _ => None,
@@ -976,9 +967,9 @@ mod tests {
         assert!(validate_run(&run).is_empty());
         assert_eq!(report.faults_of(FaultKind::Compromise).count(), 1);
         let final_state = run.state(run.horizon()).unwrap();
-        assert!(final_state.env.key_set.contains(&k));
+        assert!(final_state.env_key_set().contains(&k));
         // Before the scheduled time the environment did not hold it.
-        assert!(!run.state(0).unwrap().env.key_set.contains(&k));
+        assert!(!run.state(0).unwrap().env_key_set().contains(&k));
     }
 
     #[test]
@@ -992,8 +983,7 @@ mod tests {
         assert!(run
             .state(run.horizon())
             .unwrap()
-            .env
-            .key_set
+            .env_key_set()
             .contains(&Key::new("Klate")));
     }
 

@@ -54,11 +54,11 @@ pub use executor::{
 };
 pub use faults::{AbandonedStep, ExecReport, FaultError, FaultEvent, FaultKind, FaultPlan};
 pub use protocol::{ExpectPolicy, MsgPattern, OnTimeout, Protocol, Role, RoleStep};
-pub use run::{final_env, Run, RunBuilder, SendRecord};
+pub use run::{Run, RunBuilder, SendRecord};
 pub use search::{
     hunt_plans_on, DegradationClass, HuntConfig, HuntOutcome, HuntStats, HuntStore, MutationSpace,
 };
-pub use state::{EnvState, GlobalState, LocalState};
+pub use state::{LocalState, LocalView, StateView};
 pub use sweep::{
     execution_context_digest, sweep_plans_in, sweep_plans_on, sweep_plans_resolve, ExecOutcome,
     ExecutionCache, PlanFingerprint, PlanResult, SweepGrid, SweepOutcome, SweepStats,

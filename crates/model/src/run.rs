@@ -1,9 +1,13 @@
-//! Runs: timed sequences of global states (Section 5).
+//! Runs: timed event logs (Section 5).
 //!
 //! A run assigns integer times to a sequence of global states. The first
 //! state carries some time `k₀ ≤ 0`; the state at time 0 is the *initial
 //! state* — the first state of the current epoch (the current
 //! authentication). States before time 0 belong to the past epoch.
+//!
+//! Each state is fixed by the one before it and the event that joins them,
+//! so a run stores its first state and its events, and serves the state at
+//! any time as a [`StateView`] of that log (see [`crate::state`]).
 //!
 //! The paper's runs are infinite; here a run is a finite prefix long enough
 //! to contain time 0 and every point under analysis (see DESIGN.md §3 for
@@ -11,10 +15,11 @@
 
 use crate::action::{Action, Event};
 use crate::error::ModelError;
-use crate::state::{EnvState, GlobalState, LocalState};
+use crate::state::{take_first, LocalState, Log, StateView};
 use atl_lang::{
     can_see, said_submsgs, Bindings, Key, KeySet, KeyTerm, Message, MessageSet, Principal,
 };
+use std::collections::BTreeMap;
 
 /// A send event unfolded with the sender's context at send time, used by
 /// the `said`/`says` and shared-key semantics.
@@ -41,123 +46,99 @@ impl SendRecord {
     pub fn said_submsgs(&self) -> MessageSet {
         said_submsgs(&self.message, &self.key_set, &self.received)
     }
+
+    /// The record of the `i`-th event of `log`, if that event is a send.
+    fn of(log: &Log, i: usize) -> Option<SendRecord> {
+        let event = &log.events()[i];
+        let Action::Send { message, to } = &event.action else {
+            return None;
+        };
+        let local = log.view(i).local(&event.actor);
+        Some(SendRecord {
+            time: log.start_time() + i as i64,
+            sender: event.actor.clone(),
+            to: to.clone(),
+            message: message.clone(),
+            key_set: local.key_set().clone(),
+            received: local.received(),
+        })
+    }
 }
 
-/// A finite run: a timed sequence of global states with the events between
-/// them and a per-run parameter assignment (Section 8).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A finite run: a first state, the events after it, and a per-run
+/// parameter assignment (Section 8). The state at each time is a view of
+/// the log ([`Run::state`]).
+///
+/// Two runs are equal iff their start times, first states, events and
+/// bindings are — an O(n) comparison, since every state is derived from
+/// those.
+#[derive(Clone, Debug)]
 pub struct Run {
-    start_time: i64,
-    states: Vec<GlobalState>,
-    events: Vec<Event>,
+    log: Log,
     bindings: Bindings,
     send_records: Vec<SendRecord>,
 }
 
-impl Run {
-    /// Assembles a run from raw parts without checking the well-formedness
-    /// restrictions of Section 5 (use [`RunBuilder`] for checked
-    /// construction, and [`validate`](crate::validate::validate_run) to
-    /// audit a hand-made run).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the state/event counts disagree, if
-    /// `start_time > 0`, or if the run ends before time 0.
-    pub fn from_parts(
-        start_time: i64,
-        states: Vec<GlobalState>,
-        events: Vec<Event>,
-        bindings: Bindings,
-    ) -> Result<Run, ModelError> {
-        if states.len() != events.len() + 1 {
-            return Err(ModelError::MalformedRun(format!(
-                "{} states require {} events, got {}",
-                states.len(),
-                states.len().saturating_sub(1),
-                events.len()
-            )));
-        }
-        if start_time > 0 {
-            return Err(ModelError::MalformedRun(format!(
-                "start time {start_time} is after the epoch start"
-            )));
-        }
-        let horizon = start_time + (states.len() as i64 - 1);
-        if horizon < 0 {
-            return Err(ModelError::MalformedRun(format!(
-                "run ends at time {horizon}, before the epoch start"
-            )));
-        }
-        let mut run = Run {
-            start_time,
-            states,
-            events,
-            bindings,
-            send_records: Vec::new(),
-        };
-        run.send_records = run.compute_send_records();
-        Ok(run)
+impl PartialEq for Run {
+    fn eq(&self, other: &Run) -> bool {
+        self.log == other.log && self.bindings == other.bindings
     }
+}
 
-    fn compute_send_records(&self) -> Vec<SendRecord> {
-        let mut out = Vec::new();
-        for (i, event) in self.events.iter().enumerate() {
-            if let Action::Send { message, to } = &event.action {
-                let pre = &self.states[i];
-                let local = pre.local(&event.actor);
-                out.push(SendRecord {
-                    time: self.start_time + i as i64,
-                    sender: event.actor.clone(),
-                    to: to.clone(),
-                    message: message.clone(),
-                    key_set: local.key_set.clone(),
-                    received: local.received(),
-                });
-            }
+impl Eq for Run {}
+
+impl Run {
+    fn from_log(log: Log, bindings: Bindings) -> Run {
+        let send_records = (0..log.events().len())
+            .filter_map(|i| SendRecord::of(&log, i))
+            .collect();
+        Run {
+            log,
+            bindings,
+            send_records,
         }
-        out
     }
 
     /// The time of the first state (`k₀ ≤ 0`).
     pub fn start_time(&self) -> i64 {
-        self.start_time
+        self.log.start_time()
     }
 
     /// The time of the last state.
     pub fn horizon(&self) -> i64 {
-        self.start_time + (self.states.len() as i64 - 1)
+        self.log.horizon()
+    }
+
+    /// How many events precede time `k`, if `k` is not before the first
+    /// state.
+    fn index(&self, k: i64) -> Option<usize> {
+        usize::try_from(k.checked_sub(self.start_time())?).ok()
     }
 
     /// The state at time `k`, if the run covers it.
-    pub fn state(&self, k: i64) -> Option<&GlobalState> {
-        let idx = k.checked_sub(self.start_time)?;
-        if idx < 0 {
-            return None;
-        }
-        self.states.get(idx as usize)
+    pub fn state(&self, k: i64) -> Option<StateView<'_>> {
+        let idx = self.index(k)?;
+        (idx <= self.log.events().len()).then(|| self.log.view(idx))
     }
 
     /// The event performed at time `k` (transitioning `r(k)` to `r(k+1)`).
     pub fn event_at(&self, k: i64) -> Option<&Event> {
-        let idx = k.checked_sub(self.start_time)?;
-        if idx < 0 {
-            return None;
-        }
-        self.events.get(idx as usize)
+        self.log.events().get(self.index(k)?)
     }
 
     /// Iterates over the times the run covers, earliest first.
     pub fn times(&self) -> impl Iterator<Item = i64> {
-        self.start_time..=self.horizon()
+        self.start_time()..=self.horizon()
     }
 
     /// All events with the time at which each was performed.
     pub fn events(&self) -> impl Iterator<Item = (i64, &Event)> {
-        self.events
+        let start = self.start_time();
+        self.log
+            .events()
             .iter()
             .enumerate()
-            .map(|(i, e)| (self.start_time + i as i64, e))
+            .map(move |(i, e)| (start + i as i64, e))
     }
 
     /// The unfolded send events of the run (see [`SendRecord`]).
@@ -172,7 +153,7 @@ impl Run {
 
     /// The system principals of the run (from its first state).
     pub fn principals(&self) -> impl Iterator<Item = &Principal> {
-        self.states[0].principals()
+        self.log.principals()
     }
 
     /// The set `M(r, 0)`: every message sent by any principal before the
@@ -187,50 +168,22 @@ impl Run {
             .collect()
     }
 
-    /// Appends one event and its post-state in place, without checking
-    /// the Section 5 restrictions — the streaming-monitor analogue of
-    /// rebuilding the run from a longer prefix. Appending never touches
-    /// earlier states or events, so every fact derived from the old
-    /// prefix (local states, send records, the pre-epoch sent set at
-    /// times the run already covered) stays valid; the result is equal
-    /// to a [`Run::from_parts`] rebuild with the extended state/event
-    /// vectors.
-    pub fn extend_unchecked(&mut self, event: Event, post_state: GlobalState) {
-        match &event.action {
-            Action::Send { message, to } => {
-                // The pre-state of the appended event is the current
-                // final state; its local view is the sender's context at
-                // send time, exactly what `compute_send_records` reads.
-                let pre = self.states.last().expect("runs have at least one state");
-                let local = pre.local(&event.actor);
-                self.send_records.push(SendRecord {
-                    time: self.horizon(),
-                    sender: event.actor.clone(),
-                    to: to.clone(),
-                    message: message.clone(),
-                    key_set: local.key_set.clone(),
-                    received: local.received(),
-                });
-            }
-            Action::Receive { message } => {
-                // [`RunBuilder::receive`] pops the buffer *before*
-                // snapshotting the pre-state, so the recorded pre-state
-                // of a receive never shows the delivered message in
-                // flight. Mirror that here or the extended run would
-                // differ from a batch rebuild in exactly that buffer
-                // slot. Local states (all the semantics reads) are
-                // untouched either way.
-                let pre = self.states.last_mut().expect("runs have a state");
-                if let Some(buffer) = pre.env.buffers.get_mut(&event.actor) {
-                    if let Some(pos) = buffer.iter().position(|m| m == message) {
-                        buffer.remove(pos);
-                    }
-                }
-            }
-            Action::NewKey { .. } => {}
+    /// Appends one event in place, without checking the Section 5
+    /// restrictions — the streaming-monitor analogue of rebuilding the run
+    /// from a longer prefix. Appending never changes an earlier event or
+    /// the first state, so every fact derived from the old prefix (local
+    /// states, send records, the pre-epoch sent set at times the run
+    /// already covered) stays valid; the result equals the run a
+    /// [`RunBuilder`] builds from the extended log. The one earlier state
+    /// that reads differently is the old final state when the event is a
+    /// receive: its buffer now lacks the delivered message, as the checked
+    /// builder's does.
+    pub fn extend_unchecked(&mut self, event: Event) {
+        let at = self.log.events().len();
+        self.log.push(event);
+        if let Some(rec) = SendRecord::of(&self.log, at) {
+            self.send_records.push(rec);
         }
-        self.events.push(event);
-        self.states.push(post_state);
     }
 }
 
@@ -265,10 +218,9 @@ impl Run {
 /// ```
 #[derive(Clone, Debug)]
 pub struct RunBuilder {
-    start_time: i64,
-    current: GlobalState,
-    states: Vec<GlobalState>,
-    events: Vec<Event>,
+    log: Log,
+    /// The live message buffers: what is sent and not yet delivered.
+    buffers: BTreeMap<Principal, Vec<Message>>,
     bindings: Bindings,
 }
 
@@ -278,10 +230,8 @@ impl RunBuilder {
     /// the paper requires of a run's first state.
     pub fn new(start_time: i64) -> Self {
         RunBuilder {
-            start_time: start_time.min(0),
-            current: GlobalState::default(),
-            states: Vec::new(),
-            events: Vec::new(),
+            log: Log::new(start_time.min(0)),
+            buffers: BTreeMap::new(),
             bindings: Bindings::new(),
         }
     }
@@ -293,30 +243,31 @@ impl RunBuilder {
         p: impl Into<Principal>,
         keys: impl IntoIterator<Item = Key>,
     ) -> &mut Self {
-        self.current
-            .locals
+        self.log
+            .first_mut()
             .insert(p.into(), LocalState::with_keys(keys));
         self
     }
 
-    /// Grants the environment principal its initial keys.
+    /// Grants the environment principal its initial keys. Must be called
+    /// before any action is appended.
     pub fn env_keys(&mut self, keys: impl IntoIterator<Item = Key>) -> &mut Self {
-        self.current.env.key_set.extend(keys);
+        self.log.first_env_keys_mut().extend(keys);
         self
     }
 
     /// Sets an application datum in a principal's initial local state
-    /// (e.g. a coin-toss outcome).
+    /// (e.g. a coin-toss outcome). Must be called before any action is
+    /// appended.
     pub fn datum(
         &mut self,
         p: impl Into<Principal>,
         key: impl Into<String>,
         value: impl Into<String>,
     ) -> &mut Self {
-        let p = p.into();
-        self.current
-            .locals
-            .entry(p)
+        self.log
+            .first_mut()
+            .entry(p.into())
             .or_default()
             .data
             .insert(key.into(), value.into());
@@ -331,57 +282,48 @@ impl RunBuilder {
 
     /// The time at which the *next* action will be performed.
     pub fn now(&self) -> i64 {
-        self.start_time + self.events.len() as i64
+        self.log.horizon()
     }
 
     /// A view of the global state as currently built.
-    pub fn current_state(&self) -> &GlobalState {
-        &self.current
+    pub fn current_state(&self) -> StateView<'_> {
+        self.log.view(self.log.events().len())
+    }
+
+    /// The messages currently buffered for `p`, oldest first (what
+    /// [`StateView::buffer`] of [`Self::current_state`] returns, without
+    /// the scan).
+    pub fn buffer(&self, p: &Principal) -> &[Message] {
+        self.buffers.get(p).map_or(&[], Vec::as_slice)
     }
 
     /// The most recently appended event, if any — how a streaming
-    /// consumer picks up the event it just applied (paired with
-    /// [`RunBuilder::current_state`], the event's post-state) to extend
-    /// an already-built [`Run`] via [`Run::extend_unchecked`].
+    /// consumer picks up the event it just applied, to extend an
+    /// already-built [`Run`] via [`Run::extend_unchecked`].
     pub fn last_event(&self) -> Option<&Event> {
-        self.events.last()
+        self.log.events().last()
     }
 
     /// The run's initial global state: the declared principals with
     /// their starting key sets, before any event (the pre-state of the
     /// first event once one exists).
-    pub fn initial_state(&self) -> &GlobalState {
-        self.states.first().unwrap_or(&self.current)
-    }
-
-    fn step(&mut self, event: Event) {
-        self.states.push(self.current.clone());
-        self.events.push(event);
-    }
-
-    fn record_action(&mut self, actor: &Principal, action: Action) {
-        if let Some(local) = self.current.locals.get_mut(actor) {
-            local.history.push(action.clone());
-        }
-        self.current
-            .env
-            .global_history
-            .push(Event::new(actor.clone(), action));
+    pub fn initial_state(&self) -> StateView<'_> {
+        self.log.view(0)
     }
 
     /// Checks restriction 3 (and 4–5 for system principals) for a message
     /// about to be sent by `actor`.
     fn check_send(&self, actor: &Principal, message: &Message) -> Result<(), ModelError> {
-        let local = self.current.local(actor);
-        let received = local.received();
-        let is_system = self.current.locals.contains_key(actor);
-        let said = said_submsgs(message, &local.key_set, &received);
-        let seen_in_received = |m: &Message| received.iter().any(|r| can_see(m, r, &local.key_set));
+        let local = self.current_state().local(actor);
+        let (keys, received) = (local.key_set(), local.received());
+        let is_system = self.log.is_system(actor);
+        let said = said_submsgs(message, keys, &received);
+        let seen_in_received = |m: &Message| received.iter().any(|r| can_see(m, r, keys));
         for sub in &said {
             match sub {
                 Message::Encrypted { key, from, .. } => {
                     let holds_key =
-                        matches!(key, KeyTerm::Key(k) if local.key_set.contains(k));
+                        matches!(key, KeyTerm::Key(k) if keys.contains(k));
                     // Restriction 3: possess the key or have seen the
                     // ciphertext.
                     if !holds_key && !seen_in_received(sub) {
@@ -427,7 +369,7 @@ impl RunBuilder {
                     // Restriction 3 analogue: constructing public-key
                     // ciphertext requires the public key.
                     let holds_key =
-                        matches!(key, KeyTerm::Key(k) if local.key_set.contains(k));
+                        matches!(key, KeyTerm::Key(k) if keys.contains(k));
                     if !holds_key && !seen_in_received(sub) {
                         return Err(ModelError::SendViolation {
                             actor: actor.clone(),
@@ -449,7 +391,7 @@ impl RunBuilder {
                     // Signing requires the private counterpart.
                     let holds_inverse = matches!(
                         key,
-                        KeyTerm::Key(k) if local.key_set.contains(&k.inverse())
+                        KeyTerm::Key(k) if keys.contains(&k.inverse())
                     );
                     if !holds_inverse && !seen_in_received(sub) {
                         return Err(ModelError::SendViolation {
@@ -510,16 +452,17 @@ impl RunBuilder {
     }
 
     fn push_send(&mut self, from: Principal, message: Message, to: Principal) {
-        let action = Action::send(message.clone(), to.clone());
-        let event = Event::new(from.clone(), action.clone());
-        self.step(event);
-        self.record_action(&from, action);
-        self.current
-            .env
-            .buffers
-            .entry(to)
-            .or_default()
-            .push(message);
+        self.log
+            .push(Event::new(from, Action::send(message.clone(), to.clone())));
+        self.buffers.entry(to).or_default().push(message);
+    }
+
+    /// Takes the first buffered copy of `message` out of `p`'s buffer,
+    /// returning whether there was one.
+    fn take_buffered(&mut self, p: &Principal, message: &Message) -> bool {
+        self.buffers
+            .get_mut(p)
+            .is_some_and(|buffer| take_first(buffer, message))
     }
 
     /// Appends a `receive` action delivering the given message from `p`'s
@@ -534,92 +477,69 @@ impl RunBuilder {
         message: &Message,
     ) -> Result<&mut Self, ModelError> {
         let p = p.into();
-        let buffer = self.current.env.buffers.entry(p.clone()).or_default();
-        let Some(pos) = buffer.iter().position(|m| m == message) else {
+        if !self.take_buffered(&p, message) {
             return Err(ModelError::NotInBuffer {
                 principal: p,
                 message: message.clone(),
             });
-        };
-        buffer.remove(pos);
-        let action = Action::receive(message.clone());
-        let event = Event::new(p.clone(), action.clone());
-        self.step(event);
-        self.record_action(&p, action);
+        }
+        self.log
+            .push(Event::new(p, Action::receive(message.clone())));
         Ok(self)
+    }
+
+    /// Appends a `receive` action *without* requiring the message to be
+    /// buffered (restriction 2); a buffered copy is still delivered. With
+    /// [`Self::send_unchecked`], this builds the deliberately ill-formed
+    /// runs of the validator tests.
+    pub fn receive_unchecked(&mut self, p: impl Into<Principal>, message: Message) -> &mut Self {
+        let p = p.into();
+        self.take_buffered(&p, &message);
+        self.log.push(Event::new(p, Action::receive(message)));
+        self
     }
 
     /// Delivers the oldest buffered message to `p`, if any, returning it.
     pub fn receive_next(&mut self, p: impl Into<Principal>) -> Option<Message> {
         let p = p.into();
-        let buffer = self.current.env.buffers.entry(p.clone()).or_default();
-        if buffer.is_empty() {
-            return None;
-        }
+        let buffer = self.buffers.get_mut(&p).filter(|b| !b.is_empty())?;
         let message = buffer.remove(0);
-        let action = Action::receive(message.clone());
-        let event = Event::new(p.clone(), action.clone());
-        self.step(event);
-        self.record_action(&p, action);
+        self.log
+            .push(Event::new(p, Action::receive(message.clone())));
         Some(message)
     }
 
-    /// Appends a `newkey` action adding `key` to `p`'s key set.
+    /// Appends a `newkey` action adding `key` to `p`'s key set (to the
+    /// environment's key set if `p` is not a system principal). The
+    /// environment acquiring the reserved key `__pad` is an idle step
+    /// ([`Self::idle`]).
     pub fn new_key(&mut self, p: impl Into<Principal>, key: impl Into<Key>) -> &mut Self {
-        let p = p.into();
-        let key = key.into();
-        let action = Action::new_key(key.clone());
-        let event = Event::new(p.clone(), action.clone());
-        self.step(event);
-        self.record_action(&p, action);
-        if let Some(local) = self.current.locals.get_mut(&p) {
-            local.key_set.insert(key);
-        } else {
-            self.current.env.key_set.insert(key);
-        }
+        self.log.push(Event::new(p, Action::new_key(key)));
         self
     }
 
-    /// Appends an idle step (no principal acts but time advances). Useful
-    /// for padding the past epoch or aligning run lengths.
+    /// Appends an idle step ([`Event::idle`]): no principal acts but time
+    /// advances. Useful for padding the past epoch or aligning run
+    /// lengths.
     pub fn idle(&mut self) -> &mut Self {
-        // Modeled as the environment acquiring a key it already has (or a
-        // throwaway bookkeeping key unique to nothing): we instead simply
-        // duplicate the state with a no-op event by an inert newkey of an
-        // existing env key when available. To keep histories faithful we
-        // use a distinguished no-op: the environment "re-learns" a dummy
-        // key name reserved for padding.
-        let key = Key::new("__pad");
-        let p = Principal::environment();
-        let action = Action::new_key(key.clone());
-        let event = Event::new(p, action);
-        self.step(event);
-        self.current.env.key_set.insert(key);
-        // Note: deliberately not recorded in any local history.
+        self.log.push(Event::idle());
         self
     }
 
-    /// Finishes the run.
+    /// Finishes the run, copying the log built so far.
     ///
     /// # Errors
     ///
     /// [`ModelError::MalformedRun`] if the run would end before time 0.
-    pub fn build(&mut self) -> Result<Run, ModelError> {
-        let mut states = self.states.clone();
-        states.push(self.current.clone());
-        Run::from_parts(
-            self.start_time,
-            states,
-            self.events.clone(),
-            self.bindings.clone(),
-        )
+    pub fn build(&self) -> Result<Run, ModelError> {
+        let horizon = self.now();
+        if horizon < 0 {
+            return Err(ModelError::MalformedRun(format!(
+                "run ends at time {horizon}, before the epoch start"
+            )));
+        }
+        Ok(Run::from_log(self.log.clone(), self.bindings.clone()))
     }
-}
-
-/// Returns the environment state of the run's final state (for
-/// inspection in tests and examples).
-pub fn final_env(run: &Run) -> &EnvState {
-    &run.state(run.horizon()).expect("horizon state exists").env
 }
 
 #[cfg(test)]
@@ -661,14 +581,12 @@ mod tests {
         b.principal("A", []);
         b.principal("B", []);
         b.send("A", nonce("X"), "B").unwrap();
-        assert_eq!(
-            b.current_state().env.buffer(&Principal::new("B")),
-            [nonce("X")]
-        );
+        assert_eq!(b.buffer(&Principal::new("B")), [nonce("X")]);
+        assert_eq!(b.current_state().buffer(&Principal::new("B")), [nonce("X")]);
         b.receive("B", &nonce("X")).unwrap();
         let run = b.build().unwrap();
         let final_state = run.state(run.horizon()).unwrap();
-        assert!(final_state.env.buffer(&Principal::new("B")).is_empty());
+        assert!(final_state.buffer(&Principal::new("B")).is_empty());
         assert!(final_state
             .local(&Principal::new("B"))
             .received()
@@ -821,7 +739,7 @@ mod tests {
                 None => {}
                 Some(run) => {
                     let ev = replay.last_event().expect("just appended").clone();
-                    run.extend_unchecked(ev, replay.current_state().clone());
+                    run.extend_unchecked(ev);
                     let rebuilt = replay.build().unwrap();
                     assert_eq!(*run, rebuilt, "extension diverged from rebuild");
                     assert_eq!(run.send_records(), rebuilt.send_records());

@@ -80,9 +80,7 @@ impl Interpretation {
         if self.data_props {
             if let Some((principal, key, value)) = parse_data_prop(prop) {
                 if let Some(state) = run.state(point.time) {
-                    if let Some(local) = state.locals.get(&principal) {
-                        return local.data.get(key) == Some(&value.to_string());
-                    }
+                    return state.local(&principal).data().get(key) == Some(&value.to_string());
                 }
             }
         }
@@ -150,13 +148,8 @@ impl System {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn extend_run(
-        &mut self,
-        idx: usize,
-        event: crate::action::Event,
-        post_state: crate::state::GlobalState,
-    ) {
-        self.runs[idx].extend_unchecked(event, post_state);
+    pub fn extend_run(&mut self, idx: usize, event: crate::action::Event) {
+        self.runs[idx].extend_unchecked(event);
     }
 
     /// The interpretation `π`.

@@ -24,7 +24,7 @@
 use crate::error::ModelError;
 use crate::run::{Run, RunBuilder};
 use atl_lang::parser::{parse_message, Symbols};
-use atl_lang::{Key, Param, Principal};
+use atl_lang::{Key, Param};
 use std::error::Error;
 use std::fmt;
 
@@ -214,18 +214,10 @@ fn apply_action(
             let (Some(p), Some(k), None) = (parts.next(), parts.next(), parts.next()) else {
                 return Err(err(lineno, "newkey takes exactly `newkey P K`"));
             };
-            // `__pad` is the reserved padding key (see
-            // `RunBuilder::idle`): the executor emits it without
-            // recording any history, so replay it through the same
-            // path — otherwise a rendered run would not parse back
-            // to an equal run, and outcomes shipped through the
-            // wire codec would stop deduplicating against local
-            // executions.
-            if k == "__pad" && p == Principal::environment().to_string() {
-                builder.idle();
-            } else {
-                builder.new_key(p, k);
-            }
+            // `newkey Env __pad` is the idle step (`Event::idle`) the
+            // executor pads with; the log treats it as one, so a
+            // rendered run parses back to an equal run.
+            builder.new_key(p, k);
         }
     }
     Ok(())
@@ -365,7 +357,7 @@ impl TraceFeed {
     /// prefix that has not reached time 0 — exactly the prefixes
     /// [`parse_trace`] rejects too).
     pub fn try_build(&self) -> Option<Run> {
-        self.builder.clone()?.build().ok()
+        self.builder.as_ref()?.build().ok()
     }
 
     /// Feeds one line.
@@ -446,7 +438,11 @@ pub fn render_trace(run: &Run) -> String {
         let keys: Vec<String> = first.key_set(p).iter().map(ToString::to_string).collect();
         let _ = writeln!(out, "principal {p} keys {}", keys.join(" "));
     }
-    let env_keys: Vec<String> = first.env.key_set.iter().map(ToString::to_string).collect();
+    let env_keys: Vec<String> = first
+        .env_key_set()
+        .iter()
+        .map(ToString::to_string)
+        .collect();
     let _ = writeln!(out, "env keys {}", env_keys.join(" ").trim_end());
     for (param, value) in run.bindings().iter() {
         let _ = writeln!(out, "bind {param} = {value}");

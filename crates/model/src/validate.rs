@@ -71,7 +71,7 @@ fn check_key_monotonicity(run: &Run, out: &mut Vec<Violation>) {
                 });
             }
         }
-        if !s0.env.key_set.is_subset(&s1.env.key_set) {
+        if !s0.env_key_set().is_subset(s1.env_key_set()) {
             out.push(Violation {
                 restriction: 1,
                 time: k1,
@@ -281,25 +281,11 @@ mod tests {
 
     #[test]
     fn detects_unmatched_receive() {
-        // Build a run by parts with a receive that was never sent.
-        use crate::action::{Action, Event};
-        use crate::state::{GlobalState, LocalState};
-        use atl_lang::Bindings;
-        let mut s0 = GlobalState::default();
-        s0.locals.insert(Principal::new("B"), LocalState::default());
-        let mut s1 = s0.clone();
-        s1.locals
-            .get_mut(&Principal::new("B"))
-            .unwrap()
-            .history
-            .push(Action::receive(nonce("ghost")));
-        let run = Run::from_parts(
-            0,
-            vec![s0, s1],
-            vec![Event::new("B", Action::receive(nonce("ghost")))],
-            Bindings::new(),
-        )
-        .unwrap();
+        // A receive that was never sent.
+        let mut b = RunBuilder::new(0);
+        b.principal("B", []);
+        b.receive_unchecked("B", nonce("ghost"));
+        let run = b.build().unwrap();
         assert!(validate_run(&run).iter().any(|v| v.restriction == 2));
     }
 
@@ -310,22 +296,10 @@ mod tests {
         b.principal("B", []);
         b.send("A", nonce("X"), "B").unwrap();
         b.receive("B", &nonce("X")).unwrap();
-        let mut run = b.build().unwrap();
-        // Splice in a second receive of the same message by editing parts.
-        use crate::action::{Action, Event};
-        let mut states: Vec<_> = run.times().filter_map(|k| run.state(k).cloned()).collect();
-        let mut last = states.last().cloned().unwrap();
-        last.locals
-            .get_mut(&Principal::new("B"))
-            .unwrap()
-            .history
-            .push(Action::receive(nonce("X")));
-        states.push(last);
-        let mut events: Vec<Event> = run.events().map(|(_, e)| e.clone()).collect();
-        events.push(Event::new("B", Action::receive(nonce("X"))));
-        run = Run::from_parts(0, states, events, atl_lang::Bindings::new()).unwrap();
+        assert!(validate_run(&b.build().unwrap()).is_empty());
+        // A second receive of the same message.
+        b.receive_unchecked("B", nonce("X"));
+        let run = b.build().unwrap();
         assert!(validate_run(&run).iter().any(|v| v.restriction == 2));
     }
-
-    use crate::run::Run;
 }
