@@ -18,9 +18,10 @@
 //!   fixture in `atl-protocols`, spending a small fraction of the
 //!   executions an exhaustive sweep of the same axes would need.
 //! - **Persistence** — `atl hunt --store DIR` round-trips its corpus
-//!   with the checksum discipline: a resumed hunt reports its classes
-//!   without duplicates, and a corrupted entry is discarded and
-//!   re-found rather than trusted.
+//!   with the checksum discipline, in at most one frame per round: a
+//!   resumed hunt reports its classes without duplicates, and a
+//!   corrupted frame is discarded whole rather than trusted, costing
+//!   exactly its own classes.
 
 use atl::core::annotate::AtProtocol;
 use atl::core::enact::{enact_with, EnactOptions};
@@ -29,13 +30,14 @@ use atl::core::parallel::Pool;
 use atl::core::spec::parse_spec;
 use atl::lang::{Key, Message, Nonce};
 use atl::model::{
-    execute_with_faults, hunt_plans_on, ExecOptions, ExecOutcome, ExecutionCache, ExpectPolicy,
-    FaultKind, FaultPlan, HuntConfig, HuntStore, MutationSpace, PlanFingerprint, Protocol, Role,
+    execute_with_faults, execution_context_digest, hunt_plans_on, ExecOptions, ExecOutcome,
+    ExecutionCache, ExpectPolicy, FaultKind, FaultPlan, HuntConfig, HuntStore, MutationSpace,
+    PlanFingerprint, Protocol, Role,
 };
 use atl::protocols::attacks::attack_fixtures;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const SPECS: &[(&str, &str)] = &[
@@ -301,6 +303,26 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// The corpus frames in a hunt store, by listing the directory.
+fn corpus_frames(dir: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .expect("read store")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "corpus"))
+        .collect()
+}
+
+/// The sequence numbers of one corpus frame's plans: one `seq` line
+/// each.
+fn seqs_in(frame: &Path) -> Vec<usize> {
+    std::fs::read_to_string(frame)
+        .expect("read frame")
+        .lines()
+        .filter_map(|l| l.strip_prefix("seq "))
+        .map(|n| n.parse().expect("a sequence number"))
+        .collect()
+}
+
 fn cli_hunt(spec: &str, extra: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_atl"))
         .arg("hunt")
@@ -318,9 +340,12 @@ fn cli_hunt(spec: &str, extra: &[&str]) -> String {
 }
 
 /// `atl hunt --store DIR` round-trips: a second run resumes every class
-/// from the corpus (no duplicates, same classes), and corrupting one
-/// entry only costs re-finding it — the checksum discipline refuses the
-/// damaged frame instead of trusting it.
+/// from the corpus (no duplicates, same classes). Corrupting one frame
+/// costs exactly that frame's classes: the checksum discipline deletes
+/// the damaged frame instead of trusting it, every other class still
+/// resumes, and one run later the store is whole again. The lost classes
+/// come back only where a later hunt's search reaches them again, which
+/// at the same budget it need not do.
 #[test]
 fn cli_store_resumes_and_survives_corruption() {
     let spec = format!("{}/specs/needham_schroeder.atl", env!("CARGO_MANIFEST_DIR"));
@@ -340,12 +365,22 @@ fn cli_store_resumes_and_survives_corruption() {
     };
     let cold_classes = classes(&cold);
     assert!(!cold_classes.is_empty());
-    let entries: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("read store")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "corpus"))
-        .collect();
-    assert_eq!(entries.len(), cold_classes.len(), "one frame per class");
+    let cold_rounds: usize = cold
+        .lines()
+        .find_map(|l| l.trim().split_once(" round(s), "))
+        .and_then(|(n, _)| n.parse().ok())
+        .expect("a stats line");
+    let entries = corpus_frames(&dir);
+    assert!(
+        entries.len() <= cold_rounds,
+        "{} frames for {cold_rounds} round(s)",
+        entries.len()
+    );
+    assert_eq!(
+        entries.iter().map(|f| seqs_in(f).len()).sum::<usize>(),
+        cold_classes.len(),
+        "one stored plan per class"
+    );
 
     // Resume: every class comes back from the store, none duplicated.
     let warm = cli_hunt(&spec, &["--store", dir_arg]);
@@ -364,35 +399,82 @@ fn cli_store_resumes_and_survives_corruption() {
         assert!(warm_classes.contains(class), "lost {class} on resume");
     }
 
-    // Corruption: damage one frame; the next run discards it (checksum)
-    // and the hunt re-finds the class instead of trusting the frame.
-    // (The resumed run kept hunting past its inherited corpus, so the
-    // store may have grown — recount before corrupting.)
-    let frames = || -> usize {
-        std::fs::read_dir(&dir)
-            .expect("read store")
-            .map(|e| e.expect("dir entry").path())
-            .filter(|p| p.extension().is_some_and(|e| e == "corpus"))
-            .count()
-    };
-    let before = frames();
-    let victim = &entries[0];
+    // Corruption: damage the largest frame of a mutation round (any cold
+    // frame but the one holding sequence number 0, the identity plan's
+    // class), the most one flipped byte can cost. The next run discards
+    // it whole (checksum) and resumes everything else. (The resumed run
+    // kept hunting past its inherited corpus, so the store may have
+    // grown — recount before corrupting.)
+    let stored: usize = corpus_frames(&dir).iter().map(|f| seqs_in(f).len()).sum();
+    let victim = entries
+        .iter()
+        .filter(|f| !seqs_in(f).contains(&0))
+        .max_by_key(|f| seqs_in(f).len())
+        .expect("a mutation round's frame");
+    let lost = seqs_in(victim);
     let mut bytes = std::fs::read(victim).expect("read frame");
     let n = bytes.len();
     bytes[n - 2] ^= 0x20;
     std::fs::write(victim, bytes).expect("corrupt frame");
     let healed = cli_hunt(&spec, &["--store", dir_arg]);
     assert!(
-        healed.contains(&format!("{} class(es) resumed", before - 1)),
+        healed.contains(&format!("{} class(es) resumed", stored - lost.len())),
         "corrupt frame was not discarded: {healed}"
     );
-    for class in &cold_classes {
+    let healed_classes = classes(&healed);
+    let distinct: BTreeSet<&String> = healed_classes.iter().collect();
+    assert_eq!(
+        distinct.len(),
+        healed_classes.len(),
+        "the healed run duplicated a signature"
+    );
+    // The cold run numbered its classes from 0 in discovery order, so
+    // its class i holds sequence number i: every class outside the
+    // damaged frame survives it.
+    for (seq, class) in cold_classes.iter().enumerate() {
         assert!(
-            classes(&healed).contains(class),
-            "corruption lost {class} for good"
+            lost.contains(&seq) || healed_classes.contains(class),
+            "corruption lost {class}, which the damaged frame did not hold"
         );
     }
+    // The damaged frame costs once: the next run resumes every class the
+    // healed run reported.
+    let after = cli_hunt(&spec, &["--store", dir_arg]);
+    assert!(
+        after.contains(&format!("{} class(es) resumed", healed_classes.len())),
+        "{after}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cold hunt with a store writes at most one corpus frame per round,
+/// and the frames hold exactly the classes' witnesses, in class order.
+#[test]
+fn cold_hunt_stores_at_most_one_frame_per_round() {
+    for (name, src) in SPECS {
+        let at = spec_at(src);
+        let s = settings(&at, 3, 64, None);
+        let dir = temp_dir(&format!("frames-{name}"));
+        let store = HuntStore::open(&dir).expect("open the hunt store");
+        let report = hunt_report(&at, &s, &Pool::new(1), &ExecutionCache::new(), Some(&store));
+        let stats = report.outcome.stats;
+        let frames = corpus_frames(&dir).len();
+        assert!(
+            frames <= stats.rounds,
+            "{name}: {frames} frames for {} round(s)",
+            stats.rounds
+        );
+        let (proto, _) = replica(&at, &s);
+        let context = execution_context_digest(&proto, &s.options);
+        let witnesses: Vec<FaultPlan> = report
+            .outcome
+            .classes
+            .iter()
+            .map(|c| c.witness.clone())
+            .collect();
+        assert_eq!(store.load(context), witnesses, "{name}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// A resumed hunt classifies its stored corpus against the spec it is
