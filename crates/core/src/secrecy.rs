@@ -32,7 +32,7 @@ pub fn known_messages(run: &Run, p: &Principal, k: i64) -> MessageSet {
         return MessageSet::new();
     };
     let local = state.local(p);
-    seen_submsgs_of_set(local.received().iter(), local.key_set())
+    seen_submsgs_of_set(local.receipts(), local.key_set())
 }
 
 /// True if `p` cannot derive `x` at `(run, k)`.
@@ -42,8 +42,7 @@ pub fn is_secret_from(run: &Run, x: &Message, p: &Principal, k: i64) -> bool {
     };
     let local = state.local(p);
     !local
-        .received()
-        .iter()
+        .receipts()
         .any(|m| atl_lang::can_see(x, m, local.key_set()))
 }
 

@@ -198,7 +198,7 @@ impl EvalCache {
                 let mut seed = Interner::new();
                 for run in system.runs() {
                     for rec in run.send_records() {
-                        seed.message(&rec.message);
+                        seed.message(rec.message);
                     }
                 }
                 Arc::new(seed.freeze())
@@ -233,12 +233,11 @@ impl EvalCache {
 
                     let said = run
                         .send_records()
-                        .iter()
                         .enumerate()
                         .map(|(i, rec)| {
                             stats.total += 1;
                             let cached = old_run
-                                .filter(|o| o.send_records().get(i) == Some(rec))
+                                .filter(|o| o.send_record(i) == Some(rec))
                                 .and_then(|_| old_said.get(&(ri, i)));
                             let set = match cached {
                                 Some(s) => {
@@ -345,7 +344,7 @@ impl EvalCache {
             .or_insert_with(|| Arc::new(submsgs_of_set(run.sent_before_epoch().iter())));
 
         let known = said_rec.range((ri, 0)..(ri, usize::MAX)).count();
-        for (i, rec) in run.send_records().iter().enumerate().skip(known) {
+        for (i, rec) in run.send_records().enumerate().skip(known) {
             said_rec.insert((ri, i), Arc::new(rec.said_submsgs()));
         }
 
@@ -786,8 +785,8 @@ impl<'a> Semantics<'a> {
     fn eval_public_key(&self, point: Point, k: &KeyTerm, p: &Principal) -> bool {
         let KeyTerm::Key(key) = k else { return false };
         let run = &self.system.runs()[point.run];
-        run.send_records().iter().enumerate().all(|(i, rec)| {
-            if rec.sender == *p {
+        run.send_records().enumerate().all(|(i, rec)| {
+            if rec.sender == p {
                 return true;
             }
             self.said_set(point.run, i, rec).iter().all(|sub| {
@@ -797,7 +796,7 @@ impl<'a> Semantics<'a> {
                 if kk.as_key() != Some(key) {
                     return true;
                 }
-                self.eval_sees(Point::new(point.run, rec.time + 1), &rec.sender, sub)
+                self.eval_sees(Point::new(point.run, rec.time + 1), rec.sender, sub)
             })
         })
     }
@@ -824,7 +823,7 @@ impl<'a> Semantics<'a> {
                 } else {
                     let local = state.local(p);
                     let mut set = MessageSet::new();
-                    for m in &local.received() {
+                    for m in local.receipts() {
                         set.extend(c.terms.seen_submsgs(m, local.key_set()).iter().cloned());
                     }
                     let rc = Arc::new(set);
@@ -838,16 +837,13 @@ impl<'a> Semantics<'a> {
             return seen.contains(x);
         }
         let local = state.local(p);
-        local
-            .received()
-            .iter()
-            .any(|m| can_see(x, m, local.key_set()))
+        local.receipts().any(|m| can_see(x, m, local.key_set()))
     }
 
     /// The accountable submessages of the `idx`-th send record of run
     /// `run`, memoized when the term cache is on ([`SendRecord::
     /// said_submsgs`] redoes the seen-set closure on every call).
-    fn said_set(&self, run: usize, idx: usize, rec: &SendRecord) -> Arc<MessageSet> {
+    fn said_set(&self, run: usize, idx: usize, rec: SendRecord<'_>) -> Arc<MessageSet> {
         if let Some(cache) = &self.cache {
             let c = &mut *cache.borrow_mut();
             if let Some(s) = c.said_rec.get(&(run, idx)) {
@@ -863,8 +859,8 @@ impl<'a> Semantics<'a> {
     /// `P said X` (or `P says X` when `recent`) at `(r, k)`.
     fn eval_said(&self, point: Point, p: &Principal, x: &Message, recent: bool) -> bool {
         let run = &self.system.runs()[point.run];
-        run.send_records().iter().enumerate().any(|(i, rec)| {
-            rec.sender == *p
+        run.send_records().enumerate().any(|(i, rec)| {
+            rec.sender == p
                 && rec.time < point.time
                 && (!recent || rec.time >= 0)
                 && self.said_set(point.run, i, rec).contains(x)
@@ -916,8 +912,8 @@ impl<'a> Semantics<'a> {
     fn eval_shared_key(&self, point: Point, p: &Principal, k: &KeyTerm, q: &Principal) -> bool {
         let KeyTerm::Key(key) = k else { return false };
         let run = &self.system.runs()[point.run];
-        run.send_records().iter().enumerate().all(|(i, rec)| {
-            if rec.sender == *p || rec.sender == *q {
+        run.send_records().enumerate().all(|(i, rec)| {
+            if rec.sender == p || rec.sender == q {
                 return true;
             }
             self.said_set(point.run, i, rec).iter().all(|sub| {
@@ -931,7 +927,7 @@ impl<'a> Semantics<'a> {
                 // send lands in its history (sees is monotone, so checking
                 // at rec.time + 1 decides all later times; at earlier
                 // times "said" is false and the implication vacuous).
-                self.eval_sees(Point::new(point.run, rec.time + 1), &rec.sender, sub)
+                self.eval_sees(Point::new(point.run, rec.time + 1), rec.sender, sub)
             })
         })
     }
@@ -939,8 +935,8 @@ impl<'a> Semantics<'a> {
     /// `P =Y= Q`: likewise for messages combined with the secret `Y`.
     fn eval_shared_secret(&self, point: Point, p: &Principal, y: &Message, q: &Principal) -> bool {
         let run = &self.system.runs()[point.run];
-        run.send_records().iter().enumerate().all(|(i, rec)| {
-            if rec.sender == *p || rec.sender == *q {
+        run.send_records().enumerate().all(|(i, rec)| {
+            if rec.sender == p || rec.sender == q {
                 return true;
             }
             self.said_set(point.run, i, rec).iter().all(|sub| {
@@ -950,7 +946,7 @@ impl<'a> Semantics<'a> {
                 if **secret != *y {
                     return true;
                 }
-                self.eval_sees(Point::new(point.run, rec.time + 1), &rec.sender, sub)
+                self.eval_sees(Point::new(point.run, rec.time + 1), rec.sender, sub)
             })
         })
     }

@@ -131,8 +131,8 @@ impl Pools {
         for run in system.runs() {
             for rec in run.send_records() {
                 keys.extend(rec.message.keys());
-                keys.extend(rec.key_set.iter().cloned());
-                messages.extend(atl_lang::submsgs(&rec.message));
+                keys.extend(rec.context().key_set().iter().cloned());
+                messages.extend(atl_lang::submsgs(rec.message));
             }
             if let Some(s0) = run.state(run.start_time()) {
                 for p in s0.principals() {

@@ -51,7 +51,7 @@ pub use intern::{CacheStats, FormulaId, FrozenInterner, Interner, KeySetId, MsgI
 pub use message::{KeyTerm, Message};
 pub use name::{Key, Name, Nonce, Param, Principal, Prop};
 pub use submsgs::{
-    can_see, is_submsg, said_submsgs, seen_submsgs, seen_submsgs_of_set, submsgs, submsgs_of_set,
-    KeySet, MessageSet,
+    can_see, is_submsg, said_submsg_refs, said_submsgs, seen_submsg_refs, seen_submsgs,
+    seen_submsgs_of_set, submsgs, submsgs_of_set, KeySet, MessageSet,
 };
 pub use subst::{Bindings, SubstError};

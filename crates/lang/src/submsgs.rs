@@ -6,6 +6,11 @@
 //! ([`seen_submsgs`]) and which parts it is accountable for having said
 //! ([`said_submsgs`]). The unconditional structural closure ([`submsgs`])
 //! underlies the semantics of `fresh`.
+//!
+//! [`seen_submsg_refs`] and [`said_submsg_refs`] are the walkers: they
+//! borrow the submessages from the terms they walk, and the owned sets
+//! are their clones. Readers that only look at a set (restriction
+//! checks, replay picks) use the walkers and copy nothing.
 
 use crate::message::{KeyTerm, Message};
 use crate::name::Key;
@@ -123,14 +128,12 @@ pub fn is_submsg(needle: &Message, hay: &Message) -> bool {
 /// assert!(seen_submsgs(&m, &with_key).contains(&n));
 /// ```
 pub fn seen_submsgs(m: &Message, keys: &KeySet) -> MessageSet {
-    let mut out = MessageSet::new();
-    collect_seen(m, keys, &mut out);
-    out
+    seen_submsg_refs([m], keys).into_iter().cloned().collect()
 }
 
 /// Pushes the children of `m` that a holder of `keys` can read onto
 /// `stack`. This single definition of "readable child" backs
-/// [`collect_seen`] and [`can_see`], keeping them equivalent.
+/// [`seen_submsg_refs`] and [`can_see`], keeping them equivalent.
 fn push_seen_children<'a>(m: &'a Message, keys: &KeySet, stack: &mut Vec<&'a Message>) {
     match m {
         Message::Tuple(items) => stack.extend(items.iter()),
@@ -166,14 +169,37 @@ fn push_seen_children<'a>(m: &'a Message, keys: &KeySet, stack: &mut Vec<&'a Mes
     }
 }
 
-fn collect_seen(m: &Message, keys: &KeySet, out: &mut MessageSet) {
-    let mut stack = vec![m];
-    while let Some(m) = stack.pop() {
-        if !out.insert(m.clone()) {
-            continue;
+/// The seen submessages of every message in `ms` under `keys`, borrowed
+/// from `ms` — the walker behind [`seen_submsgs`] and
+/// [`seen_submsgs_of_set`], for readers that only look at the set.
+/// Iterates in `Message` order, as the owned sets do.
+///
+/// # Examples
+///
+/// ```
+/// use atl_lang::{seen_submsg_refs, seen_submsgs_of_set, Key, KeySet, Message, Nonce, Principal};
+/// let n = Message::nonce(Nonce::new("Ts"));
+/// let m = Message::encrypted(n.clone(), Key::new("Kbs"), Principal::new("S"));
+/// let keys: KeySet = [Key::new("Kbs")].into_iter().collect();
+/// let refs = seen_submsg_refs([&m], &keys);
+/// assert!(refs.contains(&n));
+/// assert!(refs.into_iter().eq(&seen_submsgs_of_set([&m], &keys)));
+/// ```
+pub fn seen_submsg_refs<'a>(
+    ms: impl IntoIterator<Item = &'a Message>,
+    keys: &KeySet,
+) -> BTreeSet<&'a Message> {
+    let mut out = BTreeSet::new();
+    let mut stack = Vec::new();
+    for m in ms {
+        stack.push(m);
+        while let Some(m) = stack.pop() {
+            if out.insert(m) {
+                push_seen_children(m, keys, &mut stack);
+            }
         }
-        push_seen_children(m, keys, &mut stack);
     }
+    out
 }
 
 /// Extends [`seen_submsgs`] to a set of messages (e.g. everything a
@@ -182,11 +208,7 @@ pub fn seen_submsgs_of_set<'a>(
     ms: impl IntoIterator<Item = &'a Message>,
     keys: &KeySet,
 ) -> MessageSet {
-    let mut out = MessageSet::new();
-    for m in ms {
-        collect_seen(m, keys, &mut out);
-    }
-    out
+    seen_submsg_refs(ms, keys).into_iter().cloned().collect()
 }
 
 /// True iff `needle ∈ seen-submsgs_keys(hay)` without materializing the set.
@@ -234,15 +256,39 @@ pub fn can_see(needle: &Message, hay: &Message, keys: &KeySet) -> bool {
 /// assert!(!said.contains(&n));
 /// ```
 pub fn said_submsgs(m: &Message, keys: &KeySet, received: &MessageSet) -> MessageSet {
-    let mut out = MessageSet::new();
-    collect_said(m, keys, received, &mut out);
-    out
+    let received: Vec<&Message> = received.iter().collect();
+    said_submsg_refs(m, keys, &received)
+        .into_iter()
+        .cloned()
+        .collect()
 }
 
-fn collect_said(m: &Message, keys: &KeySet, received: &MessageSet, out: &mut MessageSet) {
+/// The said submessages of `m`, borrowed from `m` — the walker behind
+/// [`said_submsgs`], for readers that only look at the set. `received`
+/// lists the sender's received messages in any order, repeats allowed
+/// (a principal's history order, say). Iterates in `Message` order, as
+/// the owned set does.
+///
+/// # Examples
+///
+/// ```
+/// use atl_lang::*;
+/// let n = Message::nonce(Nonce::new("Ts"));
+/// let cipher = Message::encrypted(n.clone(), Key::new("Kbs"), Principal::new("S"));
+/// let fwd = Message::forwarded(cipher.clone());
+/// let said = said_submsg_refs(&fwd, &KeySet::new(), &[&cipher]);
+/// // An honest forward of received ciphertext vouches for neither part.
+/// assert!(said.into_iter().eq([&fwd]));
+/// ```
+pub fn said_submsg_refs<'a>(
+    m: &'a Message,
+    keys: &KeySet,
+    received: &[&Message],
+) -> BTreeSet<&'a Message> {
+    let mut out = BTreeSet::new();
     let mut stack = vec![m];
     while let Some(m) = stack.pop() {
-        if !out.insert(m.clone()) {
+        if !out.insert(m) {
             continue;
         }
         match m {
@@ -286,6 +332,7 @@ fn collect_said(m: &Message, keys: &KeySet, received: &MessageSet, out: &mut Mes
             | Message::Opaque => {}
         }
     }
+    out
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 
 use crate::run::{Run, RunBuilder};
 use crate::system::System;
-use atl_lang::{seen_submsgs_of_set, Key, Message, Nonce, Principal};
+use atl_lang::{seen_submsg_refs, Key, Message, Nonce, Principal};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -123,7 +123,7 @@ pub fn random_run(config: &GenConfig, rng: &mut StdRng) -> Run {
             builder.new_key(actor, k.clone());
         }
     }
-    builder.build().expect("generator always reaches time 0")
+    builder.into_run().expect("generator always reaches time 0")
 }
 
 /// Tries one random action; returns whether it fired.
@@ -171,7 +171,7 @@ fn random_message(
     rng: &mut StdRng,
 ) -> Option<Message> {
     let local = builder.current_state().local(actor);
-    let seen: Vec<Message> = seen_submsgs_of_set(local.received().iter(), local.key_set())
+    let seen: Vec<&Message> = seen_submsg_refs(local.receipts(), local.key_set())
         .into_iter()
         .collect();
     let held: Vec<Key> = local.key_set().iter().cloned().collect();

@@ -23,7 +23,7 @@ use crate::protocol::{ExpectPolicy, MsgPattern, OnTimeout, Protocol, RoleStep};
 use crate::run::{Run, RunBuilder};
 use crate::sweep::{sweep_plans_on, ExecutionCache, SweepGrid, SweepOutcome};
 use crate::system::System;
-use atl_lang::{seen_submsgs_of_set, Message, Principal};
+use atl_lang::{seen_submsg_refs, Message, Principal};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -227,7 +227,7 @@ impl<'a> Driver<'a> {
         }
         self.apply_remaining_compromises();
         self.report.rounds = self.round;
-        let run = self.builder.build()?;
+        let run = self.builder.into_run()?;
         Ok((run, self.report))
     }
 
@@ -342,13 +342,13 @@ impl<'a> Driver<'a> {
     /// Attempts to fire the next step of role `idx`; returns whether the
     /// role made progress (including degrading on timeout).
     fn try_fire(&mut self, idx: usize) -> Result<bool, ModelError> {
-        let role = &self.protocol.roles()[idx];
+        let protocol = self.protocol;
+        let role = &protocol.roles()[idx];
         let cursor = self.cursors[idx];
         match &role.steps[cursor] {
             RoleStep::Send { message, to } => {
-                let (message, to) = (message.clone(), to.clone());
-                let principal = role.principal.clone();
-                match self.perform_send(&principal, message, to) {
+                let principal = &role.principal;
+                match self.perform_send(principal, message, to) {
                     Ok(()) => {}
                     // Under an active fault plan a role may have abandoned
                     // the expect that would have let it legally construct
@@ -358,7 +358,7 @@ impl<'a> Driver<'a> {
                         if self.plan.is_some_and(|p| p.is_active()) =>
                     {
                         self.report.abandoned.push(AbandonedStep {
-                            principal,
+                            principal: principal.clone(),
                             step_index: cursor,
                             detail: format!("send abandoned: {reason}"),
                         });
@@ -374,8 +374,7 @@ impl<'a> Driver<'a> {
                 Ok(true)
             }
             RoleStep::Expect { pattern, policy } => {
-                let (pattern, policy) = (pattern.clone(), *policy);
-                match self.deliverable(&role.principal, &pattern) {
+                match self.deliverable(&role.principal, pattern) {
                     Some(m) => {
                         self.builder.receive(role.principal.clone(), &m)?;
                         self.cursors[idx] += 1;
@@ -383,7 +382,7 @@ impl<'a> Driver<'a> {
                         self.resends[idx] = 0;
                         Ok(true)
                     }
-                    None => self.handle_expect_timeout(idx, &pattern, policy),
+                    None => self.handle_expect_timeout(idx, pattern, *policy),
                 }
             }
         }
@@ -404,8 +403,9 @@ impl<'a> Driver<'a> {
         if self.waits[idx] <= patience {
             return Ok(false);
         }
-        let role = &self.protocol.roles()[idx];
-        let principal = role.principal.clone();
+        let protocol = self.protocol;
+        let role = &protocol.roles()[idx];
+        let principal = &role.principal;
         if let OnTimeout::Resend { max_retries } = policy.on_timeout {
             if self.resends[idx] < max_retries {
                 // Retransmit the most recent send before this expect step
@@ -415,14 +415,14 @@ impl<'a> Driver<'a> {
                     .iter()
                     .rev()
                     .find_map(|s| match s {
-                        RoleStep::Send { message, to } => Some((message.clone(), to.clone())),
+                        RoleStep::Send { message, to } => Some((message, to)),
                         _ => None,
                     });
                 if let Some((message, to)) = prior {
                     self.resends[idx] += 1;
                     self.waits[idx] = 0;
                     self.report.retries += 1;
-                    match self.perform_send(&principal, message, to) {
+                    match self.perform_send(principal, message, to) {
                         Ok(()) => {}
                         // The prior send may itself have been abandoned
                         // (e.g. the role lost the expect that made it
@@ -440,7 +440,7 @@ impl<'a> Driver<'a> {
             OnTimeout::Stall => Ok(false),
             OnTimeout::Skip | OnTimeout::Resend { .. } => {
                 self.report.abandoned.push(AbandonedStep {
-                    principal,
+                    principal: principal.clone(),
                     step_index: self.cursors[idx],
                     detail: format!("{pattern:?}"),
                 });
@@ -480,22 +480,22 @@ impl<'a> Driver<'a> {
     fn perform_send(
         &mut self,
         sender: &Principal,
-        message: Message,
-        to: Principal,
+        message: &Message,
+        to: &Principal,
     ) -> Result<(), ModelError> {
         self.builder
             .send(sender.clone(), message.clone(), to.clone())?;
         let tap = self.plan.is_some_and(|p| p.replay_p > 0.0);
-        if (self.options.public_channel || tap) && to != self.env {
+        if (self.options.public_channel || tap) && *to != self.env {
             self.builder
                 .send(sender.clone(), message.clone(), self.env.clone())?;
             if tap {
                 // The environment takes its copy immediately, making the
                 // message (and its visible submessages) replayable.
-                self.builder.receive(self.env.clone(), &message)?;
+                self.builder.receive(self.env.clone(), message)?;
             }
         }
-        self.apply_send_faults(sender, &message, &to)
+        self.apply_send_faults(sender, message, to)
     }
 
     /// Draws the fault decisions for one send, in a fixed order so the
@@ -510,7 +510,6 @@ impl<'a> Driver<'a> {
         let Some(plan) = self.plan else {
             return Ok(());
         };
-        let plan = plan.clone();
         let Some(rng) = self.rng.as_mut() else {
             return Ok(());
         };
@@ -583,27 +582,29 @@ impl<'a> Driver<'a> {
     /// legal under restriction 3 because the material was seen.
     fn perform_replay(&mut self, pick: u64, to: &Principal) {
         let env_local = self.builder.current_state().local(&self.env);
-        let mut seen: Vec<Message> =
-            seen_submsgs_of_set(env_local.received().iter(), env_local.key_set())
-                .into_iter()
-                .filter(|m| m.is_ground())
-                .collect();
-        seen.sort();
+        // The seen set iterates in `Message` order, so the pick is a
+        // function of the plan seed and the environment's receipts.
+        let seen: Vec<&Message> = seen_submsg_refs(env_local.receipts(), env_local.key_set())
+            .into_iter()
+            .filter(|m| m.is_ground())
+            .collect();
         if seen.is_empty() {
             return;
         }
-        let chosen = seen[(pick % seen.len() as u64) as usize].clone();
+        let chosen = seen[(pick % seen.len() as u64) as usize];
+        let detail = format!("environment replayed {chosen} at {to}");
+        let chosen = chosen.clone();
         // The checked send should always accept seen material; if a corner
         // case refuses, the fault is skipped rather than failing the run.
         if self
             .builder
-            .send(self.env.clone(), chosen.clone(), to.clone())
+            .send(self.env.clone(), chosen, to.clone())
             .is_ok()
         {
             self.report.faults.push(FaultEvent {
                 time: self.builder.now() - 1,
                 kind: FaultKind::Replay,
-                detail: format!("environment replayed {chosen} at {to}"),
+                detail,
             });
         }
     }
@@ -952,7 +953,7 @@ mod tests {
         assert!(report.faults_of(FaultKind::Replay).count() >= 1);
         // Replayed sends come from the environment.
         let env = Principal::environment();
-        assert!(run.send_records().iter().any(|r| r.sender == env));
+        assert!(run.send_records().any(|r| *r.sender == env));
     }
 
     #[test]

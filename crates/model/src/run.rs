@@ -7,7 +7,11 @@
 //!
 //! Each state is fixed by the one before it and the event that joins them,
 //! so a run stores its first state and its events, and serves the state at
-//! any time as a [`StateView`] of that log (see [`crate::state`]).
+//! any time as a [`StateView`] of that log (see [`crate::state`]). A send's
+//! context — the sender's key set and received messages at send time — is
+//! likewise a view: a [`SendRecord`] reads it from the log, and the
+//! checked builder reads it by reference to enforce restrictions 3–5, so
+//! neither copies it.
 //!
 //! The paper's runs are infinite; here a run is a finite prefix long enough
 //! to contain time 0 and every point under analysis (see DESIGN.md §3 for
@@ -15,59 +19,104 @@
 
 use crate::action::{Action, Event};
 use crate::error::ModelError;
-use crate::state::{take_first, LocalState, Log, StateView};
-use atl_lang::{
-    can_see, said_submsgs, Bindings, Key, KeySet, KeyTerm, Message, MessageSet, Principal,
-};
-use std::collections::BTreeMap;
+use crate::state::{take_first, LocalState, LocalView, Log, StateView};
+use crate::validate::send_violations;
+use atl_lang::{said_submsg_refs, Bindings, Key, Message, MessageSet, Principal};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
-/// A send event unfolded with the sender's context at send time, used by
-/// the `said`/`says` and shared-key semantics.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SendRecord {
+/// A send event of a run, viewed with the sender's context at send time —
+/// what the `said`/`says` and shared-key semantics read. A view is a log
+/// reference and an index, so [`Run::send_records`] makes one per send at
+/// no cost; the context is the sender's [`LocalView`] at the send's own
+/// time, read from the log rather than copied.
+///
+/// Two records are equal iff they agree on everything
+/// [`Self::said_submsgs`] reads: time, sender, recipient, message, the
+/// sender's key set, and the *set* of messages it had received — in
+/// whatever order they came.
+#[derive(Clone, Copy)]
+pub struct SendRecord<'a> {
     /// The time at which the send was performed (the event leading out of
     /// the state at this time).
     pub time: i64,
     /// The sending principal.
-    pub sender: Principal,
+    pub sender: &'a Principal,
     /// The recipient.
-    pub to: Principal,
+    pub to: &'a Principal,
     /// The message sent.
-    pub message: Message,
-    /// The sender's key set at send time.
-    pub key_set: KeySet,
-    /// The messages the sender had received by send time.
-    pub received: MessageSet,
+    pub message: &'a Message,
+    log: &'a Log,
+    /// The send's index in the log.
+    at: usize,
 }
 
-impl SendRecord {
+impl<'a> SendRecord<'a> {
+    /// The view of the send at index `at` of `log`.
+    fn at(log: &'a Log, at: usize) -> SendRecord<'a> {
+        let event = &log.events()[at];
+        let Action::Send { message, to } = &event.action else {
+            unreachable!("the log's send index lists only sends");
+        };
+        SendRecord {
+            time: log.start_time() + at as i64,
+            sender: &event.actor,
+            to,
+            message,
+            log,
+            at,
+        }
+    }
+
+    /// The sender's local state at send time: its key set, and its history
+    /// up to (not including) this send.
+    pub fn context(&self) -> LocalView<'a> {
+        self.log.view(self.at).local(self.sender)
+    }
+
     /// The components of the sent message the sender is considered to have
     /// said (`said-submsgs` with the sender's context at send time).
     pub fn said_submsgs(&self) -> MessageSet {
-        said_submsgs(&self.message, &self.key_set, &self.received)
+        let context = self.context();
+        let received: Vec<&Message> = context.receipts().collect();
+        said_submsg_refs(self.message, context.key_set(), &received)
+            .into_iter()
+            .cloned()
+            .collect()
     }
+}
 
-    /// The record of the `i`-th event of `log`, if that event is a send.
-    fn of(log: &Log, i: usize) -> Option<SendRecord> {
-        let event = &log.events()[i];
-        let Action::Send { message, to } = &event.action else {
-            return None;
-        };
-        let local = log.view(i).local(&event.actor);
-        Some(SendRecord {
-            time: log.start_time() + i as i64,
-            sender: event.actor.clone(),
-            to: to.clone(),
-            message: message.clone(),
-            key_set: local.key_set().clone(),
-            received: local.received(),
-        })
+impl PartialEq for SendRecord<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        if (self.time, self.sender, self.to, self.message)
+            != (other.time, other.sender, other.to, other.message)
+        {
+            return false;
+        }
+        let (mine, theirs) = (self.context(), other.context());
+        mine.key_set() == theirs.key_set()
+            && mine.receipts().collect::<BTreeSet<_>>()
+                == theirs.receipts().collect::<BTreeSet<_>>()
+    }
+}
+
+impl Eq for SendRecord<'_> {}
+
+impl fmt::Debug for SendRecord<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SendRecord")
+            .field("time", &self.time)
+            .field("sender", self.sender)
+            .field("to", self.to)
+            .field("message", self.message)
+            .finish()
     }
 }
 
 /// A finite run: a first state, the events after it, and a per-run
 /// parameter assignment (Section 8). The state at each time is a view of
-/// the log ([`Run::state`]).
+/// the log ([`Run::state`]), and so is each send record
+/// ([`Run::send_records`]).
 ///
 /// Two runs are equal iff their start times, first states, events and
 /// bindings are — an O(n) comparison, since every state is derived from
@@ -76,7 +125,6 @@ impl SendRecord {
 pub struct Run {
     log: Log,
     bindings: Bindings,
-    send_records: Vec<SendRecord>,
 }
 
 impl PartialEq for Run {
@@ -88,17 +136,6 @@ impl PartialEq for Run {
 impl Eq for Run {}
 
 impl Run {
-    fn from_log(log: Log, bindings: Bindings) -> Run {
-        let send_records = (0..log.events().len())
-            .filter_map(|i| SendRecord::of(&log, i))
-            .collect();
-        Run {
-            log,
-            bindings,
-            send_records,
-        }
-    }
-
     /// The time of the first state (`k₀ ≤ 0`).
     pub fn start_time(&self) -> i64 {
         self.log.start_time()
@@ -141,9 +178,17 @@ impl Run {
             .map(move |(i, e)| (start + i as i64, e))
     }
 
-    /// The unfolded send events of the run (see [`SendRecord`]).
-    pub fn send_records(&self) -> &[SendRecord] {
-        &self.send_records
+    /// The send events of the run, earliest first, each viewed with its
+    /// sender's context (see [`SendRecord`]).
+    pub fn send_records(&self) -> impl ExactSizeIterator<Item = SendRecord<'_>> {
+        let log = &self.log;
+        log.sends().iter().map(move |&at| SendRecord::at(log, at))
+    }
+
+    /// The `i`-th send of the run (counting from 0), if there is one.
+    pub fn send_record(&self, i: usize) -> Option<SendRecord<'_>> {
+        let &at = self.log.sends().get(i)?;
+        Some(SendRecord::at(&self.log, at))
     }
 
     /// The parameter assignment of this run (Section 8).
@@ -161,8 +206,7 @@ impl Run {
     /// time 0). Freshness is defined against the submessage closure of this
     /// set.
     pub fn sent_before_epoch(&self) -> MessageSet {
-        self.send_records
-            .iter()
+        self.send_records()
             .take_while(|rec| rec.time < 0)
             .map(|rec| rec.message.clone())
             .collect()
@@ -179,11 +223,7 @@ impl Run {
     /// receive: its buffer now lacks the delivered message, as the checked
     /// builder's does.
     pub fn extend_unchecked(&mut self, event: Event) {
-        let at = self.log.events().len();
         self.log.push(event);
-        if let Some(rec) = SendRecord::of(&self.log, at) {
-            self.send_records.push(rec);
-        }
     }
 }
 
@@ -312,108 +352,44 @@ impl RunBuilder {
     }
 
     /// Checks restriction 3 (and 4–5 for system principals) for a message
-    /// about to be sent by `actor`.
+    /// about to be sent by `actor`, refusing on the first violation the
+    /// shared walk reports.
     fn check_send(&self, actor: &Principal, message: &Message) -> Result<(), ModelError> {
         let local = self.current_state().local(actor);
-        let (keys, received) = (local.key_set(), local.received());
+        let received: Vec<&Message> = local.receipts().collect();
         let is_system = self.log.is_system(actor);
-        let said = said_submsgs(message, keys, &received);
-        let seen_in_received = |m: &Message| received.iter().any(|r| can_see(m, r, keys));
-        for sub in &said {
-            match sub {
-                Message::Encrypted { key, from, .. } => {
-                    let holds_key =
-                        matches!(key, KeyTerm::Key(k) if keys.contains(k));
-                    // Restriction 3: possess the key or have seen the
-                    // ciphertext.
-                    if !holds_key && !seen_in_received(sub) {
-                        return Err(ModelError::SendViolation {
-                            actor: actor.clone(),
-                            reason: format!(
-                                "restriction 3: cannot construct {sub} without its key"
-                            ),
-                        });
-                    }
-                    // Restriction 4 (system principals): from fields are
-                    // honest on freshly constructed ciphertext.
-                    if is_system && from != actor && !seen_in_received(sub) {
-                        return Err(ModelError::SendViolation {
-                            actor: actor.clone(),
-                            reason: format!(
-                                "restriction 4: from field {from} on ciphertext constructed by {actor}"
-                            ),
-                        });
-                    }
-                }
-                Message::Combined { from, .. }
-                    if is_system && from != actor && !seen_in_received(sub) => {
-                        return Err(ModelError::SendViolation {
-                            actor: actor.clone(),
-                            reason: format!(
-                                "restriction 4: from field {from} on combined message constructed by {actor}"
-                            ),
-                        });
-                    }
-                Message::Forwarded(body)
-                    // Restriction 5 (system principals): forward only what
-                    // has been seen.
-                    if is_system && !seen_in_received(body) => {
-                        return Err(ModelError::SendViolation {
-                            actor: actor.clone(),
-                            reason: format!(
-                                "restriction 5: {actor} forwards {body} without having seen it"
-                            ),
-                        });
-                    }
-                Message::PubEncrypted { key, from, .. } => {
-                    // Restriction 3 analogue: constructing public-key
-                    // ciphertext requires the public key.
-                    let holds_key =
-                        matches!(key, KeyTerm::Key(k) if keys.contains(k));
-                    if !holds_key && !seen_in_received(sub) {
-                        return Err(ModelError::SendViolation {
-                            actor: actor.clone(),
-                            reason: format!(
-                                "restriction 3: cannot construct {sub} without the public key"
-                            ),
-                        });
-                    }
-                    if is_system && from != actor && !seen_in_received(sub) {
-                        return Err(ModelError::SendViolation {
-                            actor: actor.clone(),
-                            reason: format!(
-                                "restriction 4: from field {from} on public-key ciphertext constructed by {actor}"
-                            ),
-                        });
-                    }
-                }
-                Message::Signed { key, from, .. } => {
-                    // Signing requires the private counterpart.
-                    let holds_inverse = matches!(
-                        key,
-                        KeyTerm::Key(k) if keys.contains(&k.inverse())
-                    );
-                    if !holds_inverse && !seen_in_received(sub) {
-                        return Err(ModelError::SendViolation {
-                            actor: actor.clone(),
-                            reason: format!(
-                                "restriction 3: cannot construct {sub} without the private key"
-                            ),
-                        });
-                    }
-                    if is_system && from != actor && !seen_in_received(sub) {
-                        return Err(ModelError::SendViolation {
-                            actor: actor.clone(),
-                            reason: format!(
-                                "restriction 4: from field {from} on signature constructed by {actor}"
-                            ),
-                        });
-                    }
-                }
-                _ => {}
+        let first = send_violations(actor, is_system, message, local.key_set(), &received).next();
+        let Some((restriction, sub)) = first else {
+            return Ok(());
+        };
+        let reason = match sub {
+            Message::Forwarded(body) => {
+                format!("restriction 5: {actor} forwards {body} without having seen it")
             }
-        }
-        Ok(())
+            Message::Encrypted { from, .. } if restriction == 4 => {
+                format!("restriction 4: from field {from} on ciphertext constructed by {actor}")
+            }
+            Message::Combined { from, .. } => format!(
+                "restriction 4: from field {from} on combined message constructed by {actor}"
+            ),
+            Message::PubEncrypted { from, .. } if restriction == 4 => format!(
+                "restriction 4: from field {from} on public-key ciphertext constructed by {actor}"
+            ),
+            Message::Signed { from, .. } if restriction == 4 => {
+                format!("restriction 4: from field {from} on signature constructed by {actor}")
+            }
+            Message::PubEncrypted { .. } => {
+                format!("restriction 3: cannot construct {sub} without the public key")
+            }
+            Message::Signed { .. } => {
+                format!("restriction 3: cannot construct {sub} without the private key")
+            }
+            _ => format!("restriction 3: cannot construct {sub} without its key"),
+        };
+        Err(ModelError::SendViolation {
+            actor: actor.clone(),
+            reason,
+        })
     }
 
     /// Appends a checked `send` action.
@@ -458,11 +434,9 @@ impl RunBuilder {
     }
 
     /// Takes the first buffered copy of `message` out of `p`'s buffer,
-    /// returning whether there was one.
-    fn take_buffered(&mut self, p: &Principal, message: &Message) -> bool {
-        self.buffers
-            .get_mut(p)
-            .is_some_and(|buffer| take_first(buffer, message))
+    /// returning it if there was one.
+    fn take_buffered(&mut self, p: &Principal, message: &Message) -> Option<Message> {
+        take_first(self.buffers.get_mut(p)?, message)
     }
 
     /// Appends a `receive` action delivering the given message from `p`'s
@@ -477,14 +451,13 @@ impl RunBuilder {
         message: &Message,
     ) -> Result<&mut Self, ModelError> {
         let p = p.into();
-        if !self.take_buffered(&p, message) {
+        let Some(delivered) = self.take_buffered(&p, message) else {
             return Err(ModelError::NotInBuffer {
                 principal: p,
                 message: message.clone(),
             });
-        }
-        self.log
-            .push(Event::new(p, Action::receive(message.clone())));
+        };
+        self.log.push(Event::new(p, Action::receive(delivered)));
         Ok(self)
     }
 
@@ -526,19 +499,44 @@ impl RunBuilder {
         self
     }
 
-    /// Finishes the run, copying the log built so far.
+    /// Finishes the run, copying the log built so far; the builder can
+    /// go on appending. A builder dropped right after should call
+    /// [`Self::into_run`] instead.
     ///
     /// # Errors
     ///
     /// [`ModelError::MalformedRun`] if the run would end before time 0.
     pub fn build(&self) -> Result<Run, ModelError> {
+        self.check_horizon()?;
+        Ok(Run {
+            log: self.log.clone(),
+            bindings: self.bindings.clone(),
+        })
+    }
+
+    /// Finishes the run, handing it the log built so far: the run
+    /// [`Self::build`] returns, without the copy.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::build`].
+    pub fn into_run(self) -> Result<Run, ModelError> {
+        self.check_horizon()?;
+        Ok(Run {
+            log: self.log,
+            bindings: self.bindings,
+        })
+    }
+
+    /// A run must reach time 0.
+    fn check_horizon(&self) -> Result<(), ModelError> {
         let horizon = self.now();
         if horizon < 0 {
             return Err(ModelError::MalformedRun(format!(
                 "run ends at time {horizon}, before the epoch start"
             )));
         }
-        Ok(Run::from_log(self.log.clone(), self.bindings.clone()))
+        Ok(())
     }
 }
 
@@ -694,11 +692,26 @@ mod tests {
         b.principal("B", []);
         let cipher = Message::encrypted(nonce("X"), Key::new("K"), Principal::new("A"));
         b.send("A", cipher.clone(), "B").unwrap();
+        b.receive("B", &cipher).unwrap();
+        b.send("B", Message::forwarded(cipher.clone()), "A")
+            .unwrap();
         let run = b.build().unwrap();
-        let recs = run.send_records();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].sender, Principal::new("A"));
-        assert!(recs[0].said_submsgs().contains(&nonce("X")));
+        assert_eq!(run.send_records().len(), 2);
+        let rec = run.send_record(0).unwrap();
+        assert_eq!(*rec.sender, Principal::new("A"));
+        assert_eq!(
+            (rec.time, rec.to, rec.message),
+            (0, &Principal::new("B"), &cipher)
+        );
+        assert!(rec.said_submsgs().contains(&nonce("X")));
+        // B's forward reads B's context at send time: it had received the
+        // ciphertext, so it vouches for neither the ciphertext nor X.
+        let fwd = run.send_record(1).unwrap();
+        assert_eq!(fwd.time, 2);
+        assert!(fwd.context().received().contains(&cipher));
+        assert!(fwd.context().key_set().is_empty());
+        assert_eq!(fwd.said_submsgs().len(), 1);
+        assert!(run.send_record(2).is_none());
     }
 
     #[test]
@@ -742,7 +755,7 @@ mod tests {
                     run.extend_unchecked(ev);
                     let rebuilt = replay.build().unwrap();
                     assert_eq!(*run, rebuilt, "extension diverged from rebuild");
-                    assert_eq!(run.send_records(), rebuilt.send_records());
+                    assert!(run.send_records().eq(rebuilt.send_records()));
                     assert_eq!(run.sent_before_epoch(), rebuilt.sent_before_epoch());
                 }
             }

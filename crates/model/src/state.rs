@@ -7,6 +7,12 @@
 //! principal's local state is a [`LocalView`] whose history is a prefix of
 //! that principal's events. [`LocalState`] is the owned form, produced by
 //! hiding a view (Section 6) — the form the semantics compares and caches.
+//!
+//! A send's context — the sender's key set and received messages at send
+//! time, which restrictions 3–5 and `said-submsgs` read — is the sender's
+//! local view at the send's own index, so neither the checked builder
+//! nor a run's [`SendRecord`](crate::run::SendRecord)s copy it: they read
+//! [`LocalView::receipts`] from the log.
 
 use crate::action::{Action, Event};
 use atl_lang::{hide_message, Key, KeySet, Message, MessageSet, Principal, TermCache};
@@ -63,13 +69,10 @@ fn acquire(first: &KeySet, changes: &mut KeyChanges, from: usize, key: &Key) {
 }
 
 /// Takes the first copy of `message` out of `buffer` — how a receive
-/// delivers — returning whether there was one.
-pub(crate) fn take_first(buffer: &mut Vec<Message>, message: &Message) -> bool {
-    let Some(pos) = buffer.iter().position(|m| m == message) else {
-        return false;
-    };
-    buffer.remove(pos);
-    true
+/// delivers — returning it if there was one.
+pub(crate) fn take_first(buffer: &mut Vec<Message>, message: &Message) -> Option<Message> {
+    let pos = buffer.iter().position(|m| m == message)?;
+    Some(buffer.remove(pos))
 }
 
 /// No application data: the local view of a principal that is not a
@@ -102,6 +105,8 @@ pub(crate) struct Log {
     /// The environment's first key set.
     first_env_keys: KeySet,
     events: Vec<Event>,
+    /// The indices of the send events, ascending.
+    sends: Vec<usize>,
     /// Per actor, the indices of its non-idle events, ascending.
     histories: BTreeMap<Principal, Vec<usize>>,
     /// Key-set changes of each system principal that has any.
@@ -131,6 +136,7 @@ impl Log {
             first: BTreeMap::new(),
             first_env_keys: KeySet::new(),
             events: Vec::new(),
+            sends: Vec::new(),
             histories: BTreeMap::new(),
             key_changes: BTreeMap::new(),
             env_key_changes: Vec::new(),
@@ -155,6 +161,11 @@ impl Log {
 
     pub(crate) fn events(&self) -> &[Event] {
         &self.events
+    }
+
+    /// The indices of the send events, ascending.
+    pub(crate) fn sends(&self) -> &[usize] {
+        &self.sends
     }
 
     /// The time of the last state.
@@ -190,6 +201,9 @@ impl Log {
                 .entry(event.actor.clone())
                 .or_default()
                 .push(at);
+        }
+        if event.action.is_send() {
+            self.sends.push(at);
         }
         self.events.push(event);
     }
@@ -328,15 +342,20 @@ impl<'a> LocalView<'a> {
         self.data
     }
 
+    /// The messages the principal has received, by reference and in
+    /// history order (a message delivered twice appears twice): what
+    /// [`Self::received`] collects, for readers that only iterate.
+    pub fn receipts(&self) -> impl Iterator<Item = &'a Message> + 'a {
+        self.history().filter_map(|a| match a {
+            Action::Receive { message } => Some(message),
+            _ => None,
+        })
+    }
+
     /// The set of messages the principal has received (the paper's `𝓜`):
     /// every `m` with `receive(m)` in the local history.
     pub fn received(&self) -> MessageSet {
-        self.history()
-            .filter_map(|a| match a {
-                Action::Receive { message } => Some(message.clone()),
-                _ => None,
-            })
-            .collect()
+        self.receipts().cloned().collect()
     }
 
     /// The set of messages the principal has sent, analogously.
@@ -421,6 +440,23 @@ mod tests {
         assert!(!s.received().contains(&nonce("Y")));
         assert!(s.sent().contains(&nonce("Y")));
         assert_eq!(s.data().get("coin").map(String::as_str), Some("H"));
+    }
+
+    #[test]
+    fn receipts_follow_history_order_and_sends_are_indexed() {
+        let a = Principal::new("A");
+        let log = log([
+            Event::new("A", Action::receive(nonce("Y"))),
+            Event::new("A", Action::send(nonce("Z"), "B")),
+            Event::new("A", Action::receive(nonce("X"))),
+            Event::new("B", Action::send(nonce("W"), "A")),
+            Event::new("A", Action::receive(nonce("Y"))),
+        ]);
+        let (y, x) = (nonce("Y"), nonce("X"));
+        assert!(log.view(5).local(&a).receipts().eq([&y, &x, &y]));
+        assert_eq!(log.view(5).local(&a).received().len(), 2);
+        assert!(log.view(2).local(&a).receipts().eq([&y]));
+        assert_eq!(log.sends(), [1, 3]);
     }
 
     #[test]

@@ -1034,7 +1034,7 @@ mod tests {
         let env = Principal::environment();
         let sys = outcome.system();
         assert_eq!(sys.len(), 1);
-        assert!(sys.runs()[0].send_records().iter().all(|r| r.sender != env));
+        assert!(sys.runs()[0].send_records().all(|r| *r.sender != env));
     }
 
     #[test]

@@ -284,7 +284,7 @@ pub fn parse_trace(input: &str) -> Result<(Run, Symbols), TraceError> {
         }
     }
     let run = builder
-        .build()
+        .into_run()
         .map_err(|e: ModelError| err(0, e.to_string()))?;
     Ok((run, syms))
 }

@@ -9,7 +9,7 @@
 
 use crate::action::Action;
 use crate::run::Run;
-use atl_lang::{can_see, said_submsgs, seen_submsgs_of_set, Message, Principal};
+use atl_lang::{can_see, said_submsg_refs, KeySet, Message, Principal};
 use std::fmt;
 
 /// A violation of one of the Section 5 restrictions, located in a run.
@@ -111,100 +111,108 @@ fn check_send_before_receive(run: &Run, out: &mut Vec<Violation>) {
 }
 
 fn check_send_restrictions(run: &Run, out: &mut Vec<Violation>) {
-    let system: Vec<Principal> = run.principals().cloned().collect();
+    let system: Vec<&Principal> = run.principals().collect();
     for rec in run.send_records() {
+        let context = rec.context();
+        let received: Vec<&Message> = context.receipts().collect();
         let is_system = system.contains(&rec.sender);
-        let seen = seen_submsgs_of_set(rec.received.iter(), &rec.key_set);
-        let said = said_submsgs(&rec.message, &rec.key_set, &rec.received);
-        for sub in &said {
-            match sub {
-                Message::Encrypted { key, from, .. } => {
-                    let holds = key.as_key().is_some_and(|k| rec.key_set.contains(k));
-                    let saw = seen.contains(sub);
-                    if !holds && !saw {
-                        out.push(Violation {
-                            restriction: 3,
-                            time: rec.time,
-                            actor: rec.sender.clone(),
-                            detail: format!("said {sub} without key or prior sight"),
-                        });
-                    }
-                    if is_system && from != &rec.sender && !saw {
-                        out.push(Violation {
-                            restriction: 4,
-                            time: rec.time,
-                            actor: rec.sender.clone(),
-                            detail: format!("constructed {sub} with foreign from field {from}"),
-                        });
-                    }
-                }
-                Message::Combined { from, .. }
-                    if is_system && from != &rec.sender && !seen.contains(sub) =>
+        let violations = send_violations(
+            rec.sender,
+            is_system,
+            rec.message,
+            context.key_set(),
+            &received,
+        );
+        for (restriction, sub) in violations {
+            let detail = match sub {
+                Message::Forwarded(body) => format!("forwarded {body} without having seen it"),
+                Message::Encrypted { from, .. }
+                | Message::Combined { from, .. }
+                | Message::PubEncrypted { from, .. }
+                | Message::Signed { from, .. }
+                    if restriction == 4 =>
                 {
-                    out.push(Violation {
-                        restriction: 4,
-                        time: rec.time,
-                        actor: rec.sender.clone(),
-                        detail: format!("constructed {sub} with foreign from field {from}"),
-                    });
+                    format!("constructed {sub} with foreign from field {from}")
                 }
-                Message::Forwarded(body) => {
-                    let saw_body = rec.received.iter().any(|r| can_see(body, r, &rec.key_set));
-                    if is_system && !saw_body {
-                        out.push(Violation {
-                            restriction: 5,
-                            time: rec.time,
-                            actor: rec.sender.clone(),
-                            detail: format!("forwarded {body} without having seen it"),
-                        });
-                    }
+                Message::PubEncrypted { .. } => {
+                    format!("said {sub} without the public key or prior sight")
                 }
-                Message::PubEncrypted { key, from, .. } => {
-                    let holds = key.as_key().is_some_and(|k| rec.key_set.contains(k));
-                    let saw = seen.contains(sub);
-                    if !holds && !saw {
-                        out.push(Violation {
-                            restriction: 3,
-                            time: rec.time,
-                            actor: rec.sender.clone(),
-                            detail: format!("said {sub} without the public key or prior sight"),
-                        });
-                    }
-                    if is_system && from != &rec.sender && !saw {
-                        out.push(Violation {
-                            restriction: 4,
-                            time: rec.time,
-                            actor: rec.sender.clone(),
-                            detail: format!("constructed {sub} with foreign from field {from}"),
-                        });
-                    }
+                Message::Signed { .. } => {
+                    format!("said {sub} without the private key or prior sight")
                 }
-                Message::Signed { key, from, .. } => {
-                    let holds = key
-                        .as_key()
-                        .is_some_and(|k| rec.key_set.contains(&k.inverse()));
-                    let saw = seen.contains(sub);
-                    if !holds && !saw {
-                        out.push(Violation {
-                            restriction: 3,
-                            time: rec.time,
-                            actor: rec.sender.clone(),
-                            detail: format!("said {sub} without the private key or prior sight"),
-                        });
-                    }
-                    if is_system && from != &rec.sender && !saw {
-                        out.push(Violation {
-                            restriction: 4,
-                            time: rec.time,
-                            actor: rec.sender.clone(),
-                            detail: format!("constructed {sub} with foreign from field {from}"),
-                        });
-                    }
-                }
-                _ => {}
-            }
+                _ => format!("said {sub} without key or prior sight"),
+            };
+            out.push(Violation {
+                restriction,
+                time: rec.time,
+                actor: rec.sender.clone(),
+                detail,
+            });
         }
     }
+}
+
+/// The from field of a ciphertext, signature or combined message.
+fn from_field(m: &Message) -> Option<&Principal> {
+    match m {
+        Message::Encrypted { from, .. }
+        | Message::Combined { from, .. }
+        | Message::PubEncrypted { from, .. }
+        | Message::Signed { from, .. } => Some(from),
+        _ => None,
+    }
+}
+
+/// Every violation of restrictions 3–5 by `actor` sending `message` with
+/// key set `keys` and the received messages `received` (any order), as
+/// `(restriction, submessage)`: the said submessages in `Message` order,
+/// restriction 3 before 4 within one. A restriction-5 violation names the
+/// forwarding submessage, whose body went unseen.
+///
+/// The one walk behind [`RunBuilder::send`](crate::run::RunBuilder::send),
+/// which refuses on the first violation, and [`validate_run`], which
+/// reports them all. It borrows everything it reads.
+///
+/// - Restriction 3 (any principal): a ciphertext it says was seen, or its
+///   key is held (the public key to encrypt, the private one to sign).
+/// - Restriction 4 (system principals): a ciphertext, signature or
+///   combined message it constructs carries its own from field.
+/// - Restriction 5 (system principals): it forwards only what it saw.
+pub(crate) fn send_violations<'a>(
+    actor: &'a Principal,
+    is_system: bool,
+    message: &'a Message,
+    keys: &'a KeySet,
+    received: &'a [&'a Message],
+) -> impl Iterator<Item = (u8, &'a Message)> + 'a {
+    let seen = move |m: &Message| received.iter().any(|r| can_see(m, r, keys));
+    said_submsg_refs(message, keys, received)
+        .into_iter()
+        .flat_map(move |sub| {
+            let unkeyed = match sub {
+                Message::Encrypted { key, .. } | Message::PubEncrypted { key, .. } => {
+                    !key.as_key().is_some_and(|k| keys.contains(k))
+                }
+                Message::Signed { key, .. } => {
+                    !key.as_key().is_some_and(|k| keys.contains(&k.inverse()))
+                }
+                _ => false,
+            };
+            let found = match sub {
+                Message::Forwarded(body) => [None, (is_system && !seen(body)).then_some(5)],
+                _ => {
+                    let foreign = is_system && from_field(sub).is_some_and(|from| from != actor);
+                    // Sight decides only what a missing key or a foreign
+                    // from field leaves open, and is walked at most once.
+                    let saw = (unkeyed || foreign) && seen(sub);
+                    [
+                        (unkeyed && !saw).then_some(3),
+                        (foreign && !saw).then_some(4),
+                    ]
+                }
+            };
+            found.into_iter().flatten().map(move |r| (r, sub))
+        })
 }
 
 #[cfg(test)]

@@ -115,7 +115,6 @@ proptest! {
         for (ri, run) in sys.runs().iter().enumerate() {
             let all_sent: atl::lang::MessageSet = run
                 .send_records()
-                .iter()
                 .map(|r| r.message.clone())
                 .collect();
             let sent_subs = atl::lang::submsgs_of_set(all_sent.iter());

@@ -12,7 +12,10 @@ use atl::core::prover::{Prover, ProverConfig};
 use atl::core::semantics::{GoodRuns, Semantics};
 use atl::core::spec::parse_spec;
 use atl::lang::arbitrary::{arb_formula, arb_key, arb_message};
-use atl::lang::{can_see, hide_message, seen_submsgs, submsgs, KeySet, TermCache};
+use atl::lang::{
+    can_see, hide_message, said_submsg_refs, said_submsgs, seen_submsg_refs, seen_submsgs,
+    seen_submsgs_of_set, submsgs, KeySet, Message, MessageSet, TermCache,
+};
 use atl::model::{random_system, GenConfig, System};
 use proptest::prelude::*;
 
@@ -57,8 +60,100 @@ fn worklist_and_rescan_agree_on_every_spec() {
     }
 }
 
+/// `seen-submsgs` as it was computed before the walkers borrowed: an
+/// owned set, every visited term cloned.
+fn owned_seen(ms: &[Message], keys: &KeySet) -> MessageSet {
+    let mut out = MessageSet::new();
+    for m in ms {
+        let mut stack = vec![m];
+        while let Some(m) = stack.pop() {
+            if !out.insert(m.clone()) {
+                continue;
+            }
+            match m {
+                Message::Tuple(items) => stack.extend(items.iter()),
+                Message::Encrypted { body, key, .. } | Message::Signed { body, key, .. }
+                    if key.as_key().is_some_and(|k| keys.contains(k)) =>
+                {
+                    stack.push(body)
+                }
+                Message::PubEncrypted { body, key, .. }
+                    if key.as_key().is_some_and(|k| keys.contains(&k.inverse())) =>
+                {
+                    stack.push(body)
+                }
+                Message::Combined { body, .. } | Message::Forwarded(body) => stack.push(body),
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// `said-submsgs` as it was computed before the walkers borrowed.
+fn owned_said(m: &Message, keys: &KeySet, received: &MessageSet) -> MessageSet {
+    let mut out = MessageSet::new();
+    let mut stack = vec![m];
+    while let Some(m) = stack.pop() {
+        if !out.insert(m.clone()) {
+            continue;
+        }
+        match m {
+            Message::Tuple(items) => stack.extend(items.iter()),
+            Message::Encrypted { body, key, .. } | Message::PubEncrypted { body, key, .. }
+                if key.as_key().is_some_and(|k| keys.contains(k)) =>
+            {
+                stack.push(body)
+            }
+            Message::Signed { body, key, .. }
+                if key.as_key().is_some_and(|k| keys.contains(&k.inverse())) =>
+            {
+                stack.push(body)
+            }
+            Message::Combined { body, .. } => stack.push(body),
+            Message::Forwarded(body) if !received.iter().any(|r| can_see(body, r, keys)) => {
+                stack.push(body)
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The borrowing walkers compute the owned sets they replaced, in
+    /// the same `Message` order, whatever order and repeats the received
+    /// list has; the owned operators are their clones.
+    #[test]
+    fn borrowing_walkers_match_the_owned_collectors(
+        m in arb_message(4),
+        others in proptest::collection::vec(arb_message(3), 0..4),
+        picks in proptest::collection::vec(0usize..64, 0..3),
+        keys in proptest::collection::vec(arb_key(), 0..3),
+    ) {
+        let keys: KeySet = keys.into_iter().collect();
+        // Received messages include parts of `m`, so forwards inside `m`
+        // are sometimes honest; a repeat stands for a duplicate delivery.
+        let parts: Vec<Message> = submsgs(&m).into_iter().collect();
+        let mut received = others;
+        received.extend(picks.iter().map(|i| parts[i % parts.len()].clone()));
+        received.extend(received.first().cloned());
+        let received_set: MessageSet = received.iter().cloned().collect();
+        let receipts: Vec<&Message> = received.iter().collect();
+
+        let seen = owned_seen(std::slice::from_ref(&m), &keys);
+        prop_assert!(seen_submsg_refs([&m], &keys).into_iter().eq(&seen));
+        prop_assert_eq!(seen_submsgs(&m, &keys), seen);
+        let seen_all = owned_seen(&received, &keys);
+        prop_assert!(seen_submsg_refs(&received, &keys).into_iter().eq(&seen_all));
+        prop_assert_eq!(seen_submsgs_of_set(&received, &keys), seen_all);
+
+        let said = owned_said(&m, &keys, &received_set);
+        prop_assert!(said_submsg_refs(&m, &keys, &receipts).into_iter().eq(&said));
+        prop_assert_eq!(said_submsgs(&m, &keys, &received_set), said);
+    }
 
     /// The term cache is transparent: every memoized operator returns
     /// exactly what its free-function counterpart computes, including

@@ -7,8 +7,22 @@
 //! replays a run's events and snapshots every state. At every time of
 //! every run, each view must agree with its snapshot — every local view
 //! (the environment's too), every key set, buffer and global history —
-//! and so must the send records and the pre-epoch sent set. Run equality
-//! must agree with equality of the snapshot vectors.
+//! and so must the pre-epoch sent set. Run equality must agree with
+//! equality of the snapshot vectors.
+//!
+//! Send records are views too: each must agree with the owned record
+//! runs once stored (the send, the sender's key set and received set
+//! copied from the snapshot before it), and record equality with
+//! equality of the owned records.
+//!
+//! The restriction checks read a sender's context by reference, through
+//! one walk shared by the checked builder and the validator. Two
+//! references below keep the checks as they stood when they copied the
+//! context: the builder's `check_send` and the validator. Replayed prefix
+//! by prefix, every run is offered sends the references accept and
+//! refuse, and the builder must answer as its reference does, reason
+//! text included; runs with unchecked sends must audit exactly as the
+//! reference validator audits them.
 //!
 //! The runs come from the random adversary (past epochs and environment
 //! keys included), from faulted executions of every committed spec, from
@@ -17,10 +31,13 @@
 use atl::core::enact::{enact_with, EnactOptions};
 use atl::core::examples::coin_toss;
 use atl::core::spec::parse_spec;
-use atl::lang::{hide_message, Bindings, Key, KeySet, Message, MessageSet, Nonce, Principal};
+use atl::lang::{
+    can_see, hide_message, said_submsgs, seen_submsgs_of_set, submsgs, Bindings, Key, KeySet,
+    KeyTerm, Message, MessageSet, Nonce, Principal,
+};
 use atl::model::{
-    execute_with_faults, parse_trace, random_run, render_trace, Action, Event, ExecOptions,
-    ExpectPolicy, FaultPlan, GenConfig, Run, RunBuilder, SendRecord,
+    execute_with_faults, parse_trace, random_run, render_trace, validate_run, Action, Event,
+    ExecOptions, ExpectPolicy, FaultPlan, GenConfig, ModelError, Run, RunBuilder, Violation,
 };
 use atl::protocols::{attacks, forwarding, nessett, ns_public_key, reflection};
 use rand::rngs::StdRng;
@@ -173,13 +190,25 @@ fn snapshot_reference(run: &Run) -> Vec<Snapshot> {
     states
 }
 
+/// A send record as runs stored it before records became views: the send
+/// unfolded with owned copies of the sender's context.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct OwnedRecord {
+    time: i64,
+    sender: Principal,
+    to: Principal,
+    message: Message,
+    key_set: KeySet,
+    received: MessageSet,
+}
+
 /// The send records, unfolded from each send's pre-state snapshot.
-fn reference_send_records(run: &Run, states: &[Snapshot]) -> Vec<SendRecord> {
+fn reference_send_records(run: &Run, states: &[Snapshot]) -> Vec<OwnedRecord> {
     let mut out = Vec::new();
     for (i, (time, event)) in run.events().enumerate() {
         if let Action::Send { message, to } = &event.action {
             let local = states[i].local(&event.actor);
-            out.push(SendRecord {
+            out.push(OwnedRecord {
                 time,
                 sender: event.actor.clone(),
                 to: to.clone(),
@@ -196,8 +225,8 @@ fn reference_send_records(run: &Run, states: &[Snapshot]) -> Vec<SendRecord> {
 type Reference = (i64, Vec<Snapshot>, Vec<Event>, Bindings);
 
 /// Asserts that every view of `run` agrees with the reference, and
-/// returns the reference for the equality check.
-fn check_views(label: &str, run: &Run) -> Reference {
+/// returns the reference for the equality check with the owned records.
+fn check_views(label: &str, run: &Run) -> (Reference, Vec<OwnedRecord>) {
     let states = snapshot_reference(run);
     assert_eq!(states.len(), run.times().count(), "{label}");
     assert!(run.state(run.start_time() - 1).is_none(), "{label}");
@@ -239,7 +268,21 @@ fn check_views(label: &str, run: &Run) -> Reference {
     }
 
     let records = reference_send_records(run, &states);
-    assert_eq!(run.send_records(), records.as_slice(), "{label}");
+    assert_eq!(run.send_records().len(), records.len(), "{label}");
+    for (i, (view, owned)) in run.send_records().zip(&records).enumerate() {
+        let at = format!("{label}: send {i}");
+        assert_eq!(view.time, owned.time, "{at}");
+        assert_eq!(view.sender, &owned.sender, "{at}");
+        assert_eq!(view.to, &owned.to, "{at}");
+        assert_eq!(view.message, &owned.message, "{at}");
+        assert_eq!(run.send_record(i), Some(view), "{at}");
+        let context = view.context();
+        assert_eq!(context.key_set(), &owned.key_set, "{at}");
+        assert_eq!(context.received(), owned.received, "{at}");
+        let said = said_submsgs(&owned.message, &owned.key_set, &owned.received);
+        assert_eq!(view.said_submsgs(), said, "{at}");
+    }
+    assert!(run.send_record(records.len()).is_none(), "{label}");
     let past: MessageSet = records
         .iter()
         .filter(|r| r.time < 0)
@@ -248,7 +291,8 @@ fn check_views(label: &str, run: &Run) -> Reference {
     assert_eq!(run.sent_before_epoch(), past, "{label}");
 
     let events = run.events().map(|(_, e)| e.clone()).collect();
-    (run.start_time(), states, events, run.bindings().clone())
+    let reference = (run.start_time(), states, events, run.bindings().clone());
+    (reference, records)
 }
 
 /// Random runs: the default configuration (a past epoch), a public-key
@@ -330,7 +374,31 @@ fn hand_built_runs() -> Vec<(String, Run)> {
     for (i, run) in coins.runs().iter().enumerate() {
         out.push((format!("coin toss #{i}"), run.clone()));
     }
+    let [in_order, reordered] = reordered_receipts();
+    out.push(("receipts in order".into(), in_order));
+    out.push(("receipts reordered".into(), reordered));
     out
+}
+
+/// Two unequal runs whose last sends have equal records: `B` receives
+/// `X` and `Y` in one order in the first run and in the other order in
+/// the second, then sends `Z`. A record compares the *set* of messages
+/// its sender received, which is all `said-submsgs` reads.
+fn reordered_receipts() -> [Run; 2] {
+    let nonce = |s: &str| Message::nonce(Nonce::new(s));
+    let build = |first: &str, second: &str| {
+        let mut b = RunBuilder::new(0);
+        b.principal("A", []);
+        b.principal("B", []);
+        b.send("A", nonce("X"), "B").expect("send");
+        b.send("A", nonce("Y"), "B").expect("send");
+        b.receive("B", &nonce(first)).expect("receive");
+        b.receive("B", &nonce(second)).expect("receive");
+        b.send("B", Message::forwarded(nonce("X")), "A")
+            .expect("forwards what it saw");
+        b.into_run().expect("reaches time 0")
+    };
+    [build("X", "Y"), build("Y", "X")]
 }
 
 fn trace_runs() -> Vec<(String, Run)> {
@@ -373,17 +441,35 @@ fn views_agree_with_snapshots_and_equality_with_snapshot_equality() {
         .collect();
     runs.extend(extra);
 
-    let references: Vec<Reference> = runs.iter().map(|(l, r)| check_views(l, r)).collect();
-    let mut equal_pairs = 0;
+    let (references, records): (Vec<Reference>, Vec<Vec<OwnedRecord>>) =
+        runs.iter().map(|(l, r)| check_views(l, r)).unzip();
+    let (mut equal_pairs, mut equal_records_of_unequal_runs) = (0, 0);
     for (i, (la, a)) in runs.iter().enumerate() {
         for (j, (lb, b)) in runs.iter().enumerate() {
             let same = references[i] == references[j];
             assert_eq!(a == b, same, "{la} vs {lb}");
             equal_pairs += usize::from(same && i != j);
+            // Records compare as the semantics' rewarm compares them: the
+            // k-th send of one run against the k-th send of the other.
+            for (k, (ra, rb)) in records[i].iter().zip(&records[j]).enumerate() {
+                let equal = ra == rb;
+                assert_eq!(
+                    a.send_record(k) == b.send_record(k),
+                    equal,
+                    "{la} vs {lb}: send {k}"
+                );
+                equal_records_of_unequal_runs += usize::from(equal && !same);
+            }
         }
     }
-    // Re-parsed traces (and any repeated executions) are equal runs.
+    // Re-parsed traces (and any repeated executions) are equal runs, and
+    // unequal runs share equal records (the reordered receipts among them).
     assert!(equal_pairs > 0);
+    assert!(equal_records_of_unequal_runs > 0);
+    let [in_order, reordered] = reordered_receipts();
+    assert_ne!(in_order, reordered);
+    assert_eq!(in_order.send_record(2), reordered.send_record(2));
+    assert_ne!(in_order.send_record(2), in_order.send_record(1));
 }
 
 /// An idle step is in no history and not in the global history, but it
@@ -430,4 +516,433 @@ fn the_three_traps_and_in_place_extension() {
     let last = run.state(run.horizon()).expect("state");
     assert_eq!(last.local(&env).history().count(), 1);
     assert!(last.env_key_set().contains(&Key::new("Ke")));
+}
+
+/// The checked builder's restriction check as it stood when it copied the
+/// sender's context: an owned received set and an owned `said_submsgs`,
+/// walked in `Message` order, refusing on the first violation
+/// (restriction 3 before 4 within a submessage). The context is read off
+/// the snapshot before the send.
+fn reference_check_send(
+    state: &Snapshot,
+    actor: &Principal,
+    message: &Message,
+) -> Result<(), String> {
+    let local = state.local(actor);
+    let (keys, received) = (&local.key_set, local.received());
+    let is_system = state.locals.contains_key(actor);
+    let said = said_submsgs(message, keys, &received);
+    let seen_in_received = |m: &Message| received.iter().any(|r| can_see(m, r, keys));
+    for sub in &said {
+        match sub {
+            Message::Encrypted { key, from, .. } => {
+                let holds_key = matches!(key, KeyTerm::Key(k) if keys.contains(k));
+                if !holds_key && !seen_in_received(sub) {
+                    return Err(format!(
+                        "restriction 3: cannot construct {sub} without its key"
+                    ));
+                }
+                if is_system && from != actor && !seen_in_received(sub) {
+                    return Err(format!(
+                        "restriction 4: from field {from} on ciphertext constructed by {actor}"
+                    ));
+                }
+            }
+            Message::Combined { from, .. }
+                if is_system && from != actor && !seen_in_received(sub) =>
+            {
+                return Err(format!(
+                    "restriction 4: from field {from} on combined message constructed by {actor}"
+                ));
+            }
+            Message::Forwarded(body) if is_system && !seen_in_received(body) => {
+                return Err(format!(
+                    "restriction 5: {actor} forwards {body} without having seen it"
+                ));
+            }
+            Message::PubEncrypted { key, from, .. } => {
+                let holds_key = matches!(key, KeyTerm::Key(k) if keys.contains(k));
+                if !holds_key && !seen_in_received(sub) {
+                    return Err(format!(
+                        "restriction 3: cannot construct {sub} without the public key"
+                    ));
+                }
+                if is_system && from != actor && !seen_in_received(sub) {
+                    return Err(format!(
+                        "restriction 4: from field {from} on public-key ciphertext constructed by {actor}"
+                    ));
+                }
+            }
+            Message::Signed { key, from, .. } => {
+                let holds_inverse = matches!(key, KeyTerm::Key(k) if keys.contains(&k.inverse()));
+                if !holds_inverse && !seen_in_received(sub) {
+                    return Err(format!(
+                        "restriction 3: cannot construct {sub} without the private key"
+                    ));
+                }
+                if is_system && from != actor && !seen_in_received(sub) {
+                    return Err(format!(
+                        "restriction 4: from field {from} on signature constructed by {actor}"
+                    ));
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// The validator as it stood when send records owned their context:
+/// restrictions 1 and 2 over the run, 3–5 over the owned records.
+fn reference_validate(run: &Run) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let principals: Vec<Principal> = run.principals().cloned().collect();
+    for w in run.times().collect::<Vec<_>>().windows(2) {
+        let (k0, k1) = (w[0], w[1]);
+        let (Some(s0), Some(s1)) = (run.state(k0), run.state(k1)) else {
+            continue;
+        };
+        for p in &principals {
+            if !s0.key_set(p).is_subset(s1.key_set(p)) {
+                out.push(Violation {
+                    restriction: 1,
+                    time: k1,
+                    actor: p.clone(),
+                    detail: format!("key set of {p} shrank between {k0} and {k1}"),
+                });
+            }
+        }
+        if !s0.env_key_set().is_subset(s1.env_key_set()) {
+            out.push(Violation {
+                restriction: 1,
+                time: k1,
+                actor: Principal::environment(),
+                detail: "environment key set shrank".into(),
+            });
+        }
+    }
+    let mut sent: Vec<(Principal, Message)> = Vec::new();
+    for (time, event) in run.events() {
+        match &event.action {
+            Action::Send { message, to } => sent.push((to.clone(), message.clone())),
+            Action::Receive { message } => {
+                let pos = sent
+                    .iter()
+                    .position(|(to, m)| to == &event.actor && m == message);
+                match pos {
+                    Some(i) => {
+                        sent.remove(i);
+                    }
+                    None => out.push(Violation {
+                        restriction: 2,
+                        time,
+                        actor: event.actor.clone(),
+                        detail: format!("{message} received without a prior matching send"),
+                    }),
+                }
+            }
+            Action::NewKey { .. } => {}
+        }
+    }
+    let states = snapshot_reference(run);
+    for rec in reference_send_records(run, &states) {
+        let is_system = principals.contains(&rec.sender);
+        let seen = seen_submsgs_of_set(rec.received.iter(), &rec.key_set);
+        let said = said_submsgs(&rec.message, &rec.key_set, &rec.received);
+        let violation = |restriction, detail| Violation {
+            restriction,
+            time: rec.time,
+            actor: rec.sender.clone(),
+            detail,
+        };
+        for sub in &said {
+            match sub {
+                Message::Encrypted { key, from, .. } => {
+                    let holds = key.as_key().is_some_and(|k| rec.key_set.contains(k));
+                    let saw = seen.contains(sub);
+                    if !holds && !saw {
+                        out.push(violation(
+                            3,
+                            format!("said {sub} without key or prior sight"),
+                        ));
+                    }
+                    if is_system && from != &rec.sender && !saw {
+                        out.push(violation(
+                            4,
+                            format!("constructed {sub} with foreign from field {from}"),
+                        ));
+                    }
+                }
+                Message::Combined { from, .. }
+                    if is_system && from != &rec.sender && !seen.contains(sub) =>
+                {
+                    out.push(violation(
+                        4,
+                        format!("constructed {sub} with foreign from field {from}"),
+                    ));
+                }
+                Message::Forwarded(body) => {
+                    let saw_body = rec.received.iter().any(|r| can_see(body, r, &rec.key_set));
+                    if is_system && !saw_body {
+                        out.push(violation(
+                            5,
+                            format!("forwarded {body} without having seen it"),
+                        ));
+                    }
+                }
+                Message::PubEncrypted { key, from, .. } => {
+                    let holds = key.as_key().is_some_and(|k| rec.key_set.contains(k));
+                    let saw = seen.contains(sub);
+                    if !holds && !saw {
+                        out.push(violation(
+                            3,
+                            format!("said {sub} without the public key or prior sight"),
+                        ));
+                    }
+                    if is_system && from != &rec.sender && !saw {
+                        out.push(violation(
+                            4,
+                            format!("constructed {sub} with foreign from field {from}"),
+                        ));
+                    }
+                }
+                Message::Signed { key, from, .. } => {
+                    let holds = key
+                        .as_key()
+                        .is_some_and(|k| rec.key_set.contains(&k.inverse()));
+                    let saw = seen.contains(sub);
+                    if !holds && !saw {
+                        out.push(violation(
+                            3,
+                            format!("said {sub} without the private key or prior sight"),
+                        ));
+                    }
+                    if is_system && from != &rec.sender && !saw {
+                        out.push(violation(
+                            4,
+                            format!("constructed {sub} with foreign from field {from}"),
+                        ));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// What a run offers for trial sends: its messages, the ciphertexts
+/// inside them, every key it mentions, and every name.
+struct Material {
+    messages: Vec<Message>,
+    ciphertexts: Vec<Message>,
+    keys: Vec<Key>,
+    names: Vec<Principal>,
+}
+
+impl Material {
+    fn of(run: &Run) -> Material {
+        let first = run.state(run.start_time()).expect("first state");
+        let mut messages = BTreeSet::new();
+        let mut keys: BTreeSet<Key> = first.env_key_set().iter().cloned().collect();
+        let mut names: BTreeSet<Principal> = run.principals().cloned().collect();
+        names.insert(Principal::environment());
+        for p in first.principals() {
+            keys.extend(first.key_set(p).iter().cloned());
+        }
+        for (_, event) in run.events() {
+            names.insert(event.actor.clone());
+            match &event.action {
+                Action::Send { message, .. } | Action::Receive { message } => {
+                    keys.extend(message.keys());
+                    messages.insert(message.clone());
+                }
+                Action::NewKey { key } => {
+                    keys.insert(key.clone());
+                }
+            }
+        }
+        // A key nobody holds, so every sender lacks some key.
+        keys.insert(Key::new("Kunheld"));
+        let ciphertexts = messages
+            .iter()
+            .flat_map(submsgs)
+            .filter(|m| {
+                matches!(
+                    m,
+                    Message::Encrypted { .. }
+                        | Message::PubEncrypted { .. }
+                        | Message::Signed { .. }
+                )
+            })
+            .collect::<BTreeSet<_>>();
+        Material {
+            messages: messages.into_iter().collect(),
+            ciphertexts: ciphertexts.into_iter().collect(),
+            keys: keys.into_iter().collect(),
+            names: names.into_iter().collect(),
+        }
+    }
+
+    /// The trial sends for `actor` holding `held`: every message of the
+    /// run; each ciphertext re-wrapped under a key `actor` lacks (for a
+    /// signature, a key whose private half it lacks), and with a foreign
+    /// from field; each message combined with a secret under a foreign
+    /// from field (no run here carries a combined message, so restriction
+    /// 4's combined case needs these); and a forwarding of each message.
+    fn trials(&self, actor: &Principal, held: &KeySet) -> BTreeSet<Message> {
+        let lacked = self.keys.iter().find(|k| !held.contains(*k));
+        let lacked = lacked.expect("nobody holds Kunheld").clone();
+        let unsignable = self.keys.iter().find(|k| !held.contains(&k.inverse()));
+        let unsignable = unsignable.expect("nobody holds Kunheld_inv").clone();
+        let foreign = self.names.iter().find(|p| *p != actor);
+        let foreign = foreign.expect("every run names the environment and another");
+        let mut out: BTreeSet<Message> = self.messages.iter().cloned().collect();
+        for c in &self.ciphertexts {
+            let (body, key, from) = match c {
+                Message::Encrypted { body, key, from }
+                | Message::PubEncrypted { body, key, from }
+                | Message::Signed { body, key, from } => ((**body).clone(), key.clone(), from),
+                _ => continue,
+            };
+            let (rewrapped, forged) = match c {
+                Message::Encrypted { .. } => (
+                    Message::encrypted(body.clone(), lacked.clone(), from.clone()),
+                    Message::encrypted(body, key, foreign.clone()),
+                ),
+                Message::PubEncrypted { .. } => (
+                    Message::pub_encrypted(body.clone(), lacked.clone(), from.clone()),
+                    Message::pub_encrypted(body, key, foreign.clone()),
+                ),
+                _ => (
+                    Message::signed(body.clone(), unsignable.clone(), from.clone()),
+                    Message::signed(body, key, foreign.clone()),
+                ),
+            };
+            out.insert(rewrapped);
+            out.insert(forged);
+        }
+        let secret = Message::nonce(Nonce::new("Ysecret"));
+        for m in &self.messages {
+            out.insert(Message::combined(
+                m.clone(),
+                secret.clone(),
+                foreign.clone(),
+            ));
+            out.insert(Message::forwarded(m.clone()));
+        }
+        out
+    }
+}
+
+/// A send's outcome with the refusal's reason text.
+fn outcome(result: Result<&mut RunBuilder, ModelError>) -> Result<(), String> {
+    match result {
+        Ok(_) => Ok(()),
+        Err(ModelError::SendViolation { reason, .. }) => Err(reason),
+        Err(e) => Err(format!("not a restriction refusal: {e}")),
+    }
+}
+
+/// Replays `event` without any check.
+fn replay(b: &mut RunBuilder, event: &Event) {
+    let actor = event.actor.clone();
+    match &event.action {
+        Action::Send { message, to } => {
+            b.send_unchecked(actor, message.clone(), to.clone());
+        }
+        Action::Receive { message } => {
+            b.receive_unchecked(actor, message.clone());
+        }
+        Action::NewKey { key } => {
+            b.new_key(actor, key.clone());
+        }
+    }
+}
+
+#[test]
+fn restriction_checks_agree_with_the_owned_reference() {
+    let mut runs = random_runs();
+    runs.extend(faulted_runs());
+    runs.extend(hand_built_runs());
+    runs.extend(trace_runs());
+    assert!(runs.len() > 250, "{} runs", runs.len());
+    // Per restriction, the builder's refusals and the validator's
+    // violations; and how many audited sends break 3 and then 4, the case
+    // where the first violation differs from the last.
+    let mut refused: BTreeMap<u8, usize> = BTreeMap::new();
+    let mut audited: BTreeMap<u8, usize> = BTreeMap::new();
+    let (mut accepted, mut combined_refusals, mut double_faults) = (0, 0, 0);
+    for (label, run) in &runs {
+        let states = snapshot_reference(run);
+        let material = Material::of(run);
+        let first = run.state(run.start_time()).expect("first state");
+        let mut builder = RunBuilder::new(run.start_time());
+        for p in first.principals() {
+            builder.principal(p.clone(), first.key_set(p).iter().cloned());
+            for (key, value) in first.local(p).data() {
+                builder.datum(p.clone(), key.clone(), value.clone());
+            }
+        }
+        builder.env_keys(first.env_key_set().iter().cloned());
+        // The same prefixes with unchecked trial sends after every event.
+        let mut ill = builder.clone();
+        let env = Principal::environment();
+        let events: Vec<&Event> = run.events().map(|(_, e)| e).collect();
+        for (i, state) in states.iter().enumerate() {
+            for actor in &material.names {
+                let trials = material.trials(actor, &state.local(actor).key_set);
+                for (t, m) in trials.iter().enumerate() {
+                    let expected = reference_check_send(state, actor, m);
+                    let send =
+                        |b: &mut RunBuilder| outcome(b.send(actor.clone(), m.clone(), env.clone()));
+                    // A refused send leaves the builder as it was, so only
+                    // the sends the reference accepts need a clone.
+                    let got = match &expected {
+                        Ok(()) => send(&mut builder.clone()),
+                        Err(_) => send(&mut builder),
+                    };
+                    assert_eq!(got, expected, "{label}: prefix {i}, {actor} sends {m}");
+                    match &expected {
+                        Ok(()) => accepted += 1,
+                        Err(reason) => {
+                            let digit =
+                                reason.strip_prefix("restriction ").map(|s| s.as_bytes()[0]);
+                            let r = digit.expect("a restriction refusal") - b'0';
+                            *refused.entry(r).or_default() += 1;
+                            combined_refusals += usize::from(reason.contains("combined"));
+                        }
+                    }
+                    if (t + i) % 7 == 0 {
+                        ill.send_unchecked(actor.clone(), m.clone(), env.clone());
+                    }
+                }
+            }
+            if let Some(event) = events.get(i) {
+                replay(&mut builder, event);
+                replay(&mut ill, event);
+            }
+        }
+        // Refused trials left the replayed run untouched.
+        assert_eq!(&builder.build().expect("replayed"), run, "{label}");
+        let ill = ill.into_run().expect("reaches time 0");
+        let violations = validate_run(&ill);
+        assert_eq!(violations, reference_validate(&ill), "{label}");
+        for v in &violations {
+            *audited.entry(v.restriction).or_default() += 1;
+        }
+        double_faults += violations
+            .windows(2)
+            .filter(|w| w[0].restriction == 3 && w[1].restriction == 4 && w[0].time == w[1].time)
+            .count();
+    }
+    // Every restriction the walk decides was exercised both ways.
+    for r in [3, 4, 5] {
+        assert!(refused.get(&r).is_some_and(|&n| n > 0), "no refusal on {r}");
+        assert!(
+            audited.get(&r).is_some_and(|&n| n > 0),
+            "no violation of {r}"
+        );
+    }
+    assert!(accepted > 0 && combined_refusals > 0 && double_faults > 0);
 }

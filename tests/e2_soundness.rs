@@ -138,7 +138,7 @@ fn public_key_generator_actually_signs() {
         let sys = random_system(&GenConfig::public_key(), 2, seed);
         for run in sys.runs() {
             for rec in run.send_records() {
-                for sub in atl::lang::submsgs(&rec.message) {
+                for sub in atl::lang::submsgs(rec.message) {
                     match sub {
                         Message::Signed { .. } => signed += 1,
                         Message::PubEncrypted { .. } => pubenc += 1,
