@@ -131,41 +131,47 @@
 //! requests to finish writing before the accept loop exits. The
 //! conformance harnesses live in `tests/e17_serve.rs` (protocol) and
 //! `tests/e19_pool.rs` (pool widths, backpressure, metrics).
+//!
+//! # Layout
+//!
+//! This file holds the configuration, the counters, the shared server
+//! state and [`Server`]. Three child modules hold the rest, one concern
+//! each. `transport` frames requests and responses, admits connections
+//! through the bounded accept queue, and holds [`Client`]. `sessions`
+//! decides how long a session lives and what a `RELOAD` reuses: the
+//! `LOAD` dedupe, LRU eviction, lineage and stage reuse. `verbs`
+//! answers each request, from `dispatch` to `SHUTDOWN`, including
+//! monitor persistence, `STATS` and `METRICS`.
+//!
+//! [`AtProtocol`]: crate::annotate::AtProtocol
+//! [`ConstructionCheckpoint`]: crate::goodruns::ConstructionCheckpoint
+//! [`System`]: atl_model::System
+//! [`execution_context_digest`]: atl_model::execution_context_digest
+//! [`parse_sweep_request`]: atl_model::wire::parse_sweep_request
+//! [`render_sweep_response`]: atl_model::wire::render_sweep_response
 
-use crate::annotate::{analyze_at_resumable, AnalysisResume, AtProtocol};
-use crate::budget::Budget;
-use crate::enact::{enact, enact_with, EnactOptions};
-use crate::goodruns::{construct_in, ConstructionCheckpoint};
-use crate::hunt::{default_space, hunt_report, HuntSettings};
-use crate::inject::{inject_report, InjectRequest};
-use crate::metrics::{ExtraMetric, MetricKind, ServeMetrics, Verb};
-use crate::monitor::{Monitor, MonitorStats};
+mod sessions;
+mod transport;
+mod verbs;
+
+pub use transport::{Client, Response};
+
+use crate::metrics::ServeMetrics;
+use crate::monitor::Monitor;
 use crate::parallel::Pool;
-use crate::request::PlanFlags;
-use crate::semantics::{verdict_line, EvalCache, GoodRuns, RewarmStats, Semantics};
-use crate::spec::{canonicalize_spec, parse_spec, SpecDiff};
-use crate::sweep::belief_assumptions;
-use atl_lang::parser::{parse_formula, Symbols};
 use atl_model::store::FrameStore;
-use atl_model::wire::{
-    checkpoint_body, fnv64, parse_checkpoint_body, parse_sweep_request, render_sweep_response,
-    CHECKPOINT_HEADER,
-};
-use atl_model::{
-    execute_with_faults, execution_context_digest, sweep_plans_in, ExecOptions, ExecutionCache,
-    FaultPlan, Point, Protocol, System,
-};
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use atl_model::ExecutionCache;
+use sessions::{Session, Store};
+use std::collections::BTreeMap;
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use transport::{accept_loop, worker_loop, AcceptQueue};
+use verbs::resume_monitors;
 
 /// Longest request line the daemon accepts, in bytes. A longer line is
 /// answered with one `ERR` after its remainder is drained through the
@@ -298,261 +304,6 @@ pub struct ServeStats {
     /// Monitor events that required a full prefix build and prewarm
     /// (the first buildable prefix of each session).
     pub monitor_full: u64,
-}
-
-/// One response on the wire: `OK` with payload lines, or a one-line
-/// `ERR`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Response {
-    /// True for `OK`, false for `ERR`.
-    pub ok: bool,
-    /// Payload lines (`OK`) or the single error message (`ERR`).
-    pub lines: Vec<String>,
-}
-
-impl Response {
-    /// An `OK` response carrying `text` split into lines.
-    pub fn from_text(text: &str) -> Response {
-        Response {
-            ok: true,
-            lines: text.lines().map(str::to_string).collect(),
-        }
-    }
-
-    /// An `ERR` response (newlines flattened so it stays one line).
-    pub fn err(message: impl Into<String>) -> Response {
-        let msg: String = message
-            .into()
-            .chars()
-            .map(|c| if c == '\n' || c == '\r' { ' ' } else { c })
-            .collect();
-        Response {
-            ok: false,
-            lines: vec![msg],
-        }
-    }
-
-    /// The payload as the exact text a one-shot CLI command prints: the
-    /// lines joined with trailing newlines (empty payload → empty
-    /// string).
-    pub fn payload(&self) -> String {
-        let mut out = String::new();
-        for l in &self.lines {
-            out.push_str(l);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The error message, if this is an `ERR` response.
-    pub fn err_message(&self) -> Option<&str> {
-        if self.ok {
-            None
-        } else {
-            self.lines.first().map(String::as_str)
-        }
-    }
-
-    /// The session id of a `LOAD` response (`session <id>: …`).
-    pub fn session_id(&self) -> Option<u64> {
-        let first = self.lines.first()?;
-        let id = first.strip_prefix("session ")?.split(':').next()?;
-        id.parse().ok()
-    }
-
-    fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut out = String::new();
-        if self.ok {
-            out.push_str(&format!("OK {}\n", self.lines.len()));
-            for l in &self.lines {
-                out.push_str(l);
-                out.push('\n');
-            }
-        } else {
-            out.push_str("ERR ");
-            out.push_str(self.lines.first().map(String::as_str).unwrap_or(""));
-            out.push('\n');
-        }
-        w.write_all(out.as_bytes())
-    }
-}
-
-/// A warmed spec: everything `LOAD` builds once so later queries only
-/// read caches.
-struct Session {
-    id: u64,
-    digest: u64,
-    /// The canonical digest of the spec this session was `RELOAD`ed
-    /// from, when it was (lineage; `None` for a fresh `LOAD`).
-    parent: Option<u64>,
-    at: AtProtocol,
-    syms: Symbols,
-    /// The annotation run packaged for in-place resumption. A `RELOAD`
-    /// *takes* it (the session is retiring anyway) and advances the
-    /// provers directly — no per-level clone, no re-indexing. `None`
-    /// only after a concurrent reload already claimed it, in which case
-    /// the loser re-analyzes cold.
-    resume: Mutex<Option<AnalysisResume>>,
-    /// Pre-rendered `atl analyze` report (and whether every goal held).
-    analysis_text: String,
-    /// The enacted default protocol — the executor-visible surface. Two
-    /// specs with equal `proto` execute identically, which is what lets
-    /// `RELOAD` keep the system for goal/belief-only edits.
-    proto: Protocol,
-    /// The fault-free execution, if the spec runs to completion.
-    system: Option<System>,
-    /// Why there is no system, when there is none.
-    no_system: String,
-    /// Good-run vector over `system` (Section 7 construction, falling
-    /// back to the all-runs vector exactly as the sweep bridge does).
-    goods: GoodRuns,
-    /// Per-stage record of the construction, for `RELOAD` resume
-    /// (`None` when the construction fell back or there is no system).
-    checkpoint: Option<ConstructionCheckpoint>,
-    /// Prewarmed evaluation cache holding the frozen-interner snapshot.
-    warmed: EvalCache,
-    eval_memo: Mutex<HashMap<String, Response>>,
-    inject_memo: Mutex<HashMap<String, Response>>,
-}
-
-impl Session {
-    /// The `LOAD` response payload for this session.
-    fn load_line(&self) -> String {
-        format!(
-            "session {}: protocol {} ({} assumption(s), {} step(s), {} goal(s))",
-            self.id,
-            self.at.name,
-            self.at.assumptions.len(),
-            self.at.steps.len(),
-            self.at.goals.len()
-        )
-    }
-}
-
-#[derive(Default)]
-struct Store {
-    sessions: HashMap<u64, Arc<Session>>,
-    by_digest: HashMap<u64, u64>,
-    /// Session ids from least- to most-recently used.
-    recency: Vec<u64>,
-    next_id: u64,
-    stats: ServeStats,
-}
-
-impl Store {
-    fn touch(&mut self, id: u64) {
-        self.recency.retain(|&x| x != id);
-        self.recency.push(id);
-    }
-
-    /// What `STATS` and `METRICS` report about the resident sessions,
-    /// in one walk under the store lock.
-    fn census(&self) -> Census {
-        let mut census = Census {
-            live: self.sessions.len(),
-            ..Census::default()
-        };
-        for session in self.sessions.values() {
-            census.hidden += session.warmed.hidden_entries();
-            census.frozen += session
-                .warmed
-                .frozen_base()
-                .map_or(0, |b| b.message_count());
-            census.lineage += usize::from(session.parent.is_some());
-        }
-        census
-    }
-}
-
-/// Session totals: live sessions, hidden-state entries and frozen
-/// interner messages across their warmed caches, and sessions
-/// re-pointed by `RELOAD` (lineage).
-#[derive(Default)]
-struct Census {
-    live: usize,
-    hidden: usize,
-    frozen: usize,
-    lineage: usize,
-}
-
-/// The bounded accept queue between the accept loop and the connection
-/// workers: plain `Mutex` + `Condvar`, mirroring
-/// `atl_model::parallel::Pool`'s hand-rolled discipline (no channels,
-/// poison tolerated).
-///
-/// Every push, pop and close records the new depth in the queue-depth
-/// gauge while still holding the lock, so the gauge is always the
-/// length of the queue as of its latest change: at most `capacity`,
-/// never negative, and zero at rest.
-struct AcceptQueue {
-    capacity: usize,
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct QueueInner {
-    items: VecDeque<TcpStream>,
-    closed: bool,
-}
-
-impl AcceptQueue {
-    fn new(capacity: usize) -> AcceptQueue {
-        AcceptQueue {
-            capacity: capacity.max(1),
-            inner: Mutex::new(QueueInner::default()),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, QueueInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Enqueues an accepted connection, or hands it back when the queue
-    /// is full (backpressure) or already closed (shutdown).
-    fn push(&self, stream: TcpStream, metrics: &ServeMetrics) -> Result<(), TcpStream> {
-        let mut inner = self.lock();
-        if inner.closed || inner.items.len() >= self.capacity {
-            return Err(stream);
-        }
-        inner.items.push_back(stream);
-        metrics.record_queue_depth(inner.items.len());
-        drop(inner);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next queued connection; `None` once the queue is
-    /// closed and drained, which is each worker's exit signal.
-    fn pop(&self, metrics: &ServeMetrics) -> Option<TcpStream> {
-        let mut inner = self.lock();
-        loop {
-            if let Some(stream) = inner.items.pop_front() {
-                metrics.record_queue_depth(inner.items.len());
-                return Some(stream);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .ready
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Closes the queue, wakes every worker, and returns whatever was
-    /// still waiting so the caller can refuse it with a framed error.
-    fn close(&self, metrics: &ServeMetrics) -> Vec<TcpStream> {
-        let mut inner = self.lock();
-        inner.closed = true;
-        let leftover: Vec<TcpStream> = inner.items.drain(..).collect();
-        metrics.record_queue_depth(0);
-        drop(inner);
-        self.ready.notify_all();
-        leftover
-    }
 }
 
 struct ServerState {
@@ -702,1324 +453,20 @@ impl Server {
     }
 }
 
-/// Answers an accepted-but-unserved connection with a framed error
-/// instead of silently dropping the socket.
-fn refuse_shutting_down(state: &ServerState, mut stream: TcpStream) {
-    state.metrics.shutdown_refused();
-    let _ = Response::err("shutting down").write_to(&mut stream);
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    // The shutdown flag is only checked after `accept` returns — every
-    // wake source (a real client, `cmd_shutdown`'s throwaway connect)
-    // delivers a connection or an error, and checking only then
-    // guarantees a connection racing the flag is refused with a framed
-    // error rather than left in a backlog the dropped listener resets.
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    // Accepted between the shutdown check and the
-                    // enqueue: refuse with a framed error, never a
-                    // silently dropped socket.
-                    refuse_shutting_down(state, stream);
-                    break;
-                }
-                if let Err(mut stream) = state.queue.push(stream, &state.metrics) {
-                    // Backpressure: the queue is full, answer fast
-                    // rather than piling up unbounded work.
-                    state.metrics.rejected();
-                    let _ = Response::err("busy").write_to(&mut stream);
-                }
-            }
-            Err(_) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-        }
-    }
-    // Close the queue: workers exit once it drains, and connections
-    // still queued get the same framed refusal as the race above.
-    for stream in state.queue.close(&state.metrics) {
-        refuse_shutting_down(state, stream);
-    }
-    // Drain: in-flight requests (including the SHUTDOWN response
-    // itself) finish dispatching and writing before the loop — and with
-    // it `Server::join` — returns, bounded by the drain deadline so a
-    // wedged handler cannot hold shutdown hostage.
-    let deadline = Instant::now() + state.drain_deadline;
-    while state.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// One connection worker: drains the accept queue until it closes. The
-/// busy/idle bracket makes `busy_workers_peak` the observable proof
-/// that concurrency never exceeds the configured pool width.
-fn worker_loop(state: &Arc<ServerState>) {
-    while let Some(stream) = state.queue.pop(&state.metrics) {
-        state.metrics.worker_busy();
-        handle_connection(state, stream);
-        state.metrics.worker_idle();
-    }
-}
-
-enum ReadOutcome {
-    Line(String),
-    /// The line exceeded [`MAX_REQUEST_BYTES`]. `resynced` is true when
-    /// the terminating newline was found (possibly after draining), so
-    /// the connection sits on a line boundary and may keep serving
-    /// pipelined follow-ups; false means the drain gave up (EOF or
-    /// [`MAX_DRAIN_BYTES`]) and the connection must close.
-    TooLong {
-        resynced: bool,
-    },
-    Eof,
-}
-
-/// Reads one request line, capped at [`MAX_REQUEST_BYTES`]. Invalid
-/// UTF-8 is replaced rather than rejected (the parser then reports an
-/// unknown command), and a trailing `\r` is stripped. An oversized line
-/// is drained through its terminating newline so a pipelined follow-up
-/// request is not parsed mid-payload.
-fn read_request(r: &mut impl BufRead) -> io::Result<ReadOutcome> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let chunk = r.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(if buf.is_empty() {
-                ReadOutcome::Eof
-            } else {
-                ReadOutcome::Line(decode(buf))
-            });
-        }
-        if let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
-            buf.extend_from_slice(&chunk[..pos]);
-            r.consume(pos + 1);
-            return Ok(if buf.len() > MAX_REQUEST_BYTES {
-                ReadOutcome::TooLong { resynced: true }
-            } else {
-                ReadOutcome::Line(decode(buf))
-            });
-        }
-        buf.extend_from_slice(chunk);
-        let n = chunk.len();
-        r.consume(n);
-        if buf.len() > MAX_REQUEST_BYTES {
-            let resynced = drain_oversized_line(r)?;
-            return Ok(ReadOutcome::TooLong { resynced });
-        }
-    }
-}
-
-/// Discards the remainder of an oversized line through its terminating
-/// newline. Returns whether the newline was found within
-/// [`MAX_DRAIN_BYTES`] (true = the stream is back on a line boundary).
-fn drain_oversized_line(r: &mut impl BufRead) -> io::Result<bool> {
-    let mut drained = 0usize;
-    loop {
-        let chunk = r.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(false);
-        }
-        if let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
-            r.consume(pos + 1);
-            return Ok(true);
-        }
-        drained += chunk.len();
-        let n = chunk.len();
-        r.consume(n);
-        if drained > MAX_DRAIN_BYTES {
-            return Ok(false);
-        }
-    }
-}
-
-fn decode(mut buf: Vec<u8>) -> String {
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8_lossy(&buf).into_owned()
-}
-
-fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
-    // The timeout is set on the shared socket, so it governs the read
-    // half cloned below: a client idle between requests for longer than
-    // this trips `WouldBlock`/`TimedOut` and the connection is reaped.
-    let _ = stream.set_read_timeout(state.idle_timeout);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    loop {
-        match read_request(&mut reader) {
-            Err(e) => {
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) {
-                    state.store().stats.reaped += 1;
-                    let _ =
-                        Response::err("connection idle past timeout; reaped").write_to(&mut writer);
-                }
-                break;
-            }
-            Ok(ReadOutcome::Eof) => break,
-            Ok(ReadOutcome::TooLong { resynced }) => {
-                let resp = Response::err(format!("request line exceeds {MAX_REQUEST_BYTES} bytes"));
-                let wrote = resp.write_to(&mut writer);
-                // Resynced on a line boundary: pipelined follow-ups on
-                // this connection still parse. Otherwise close.
-                if wrote.is_err() || !resynced {
-                    break;
-                }
-            }
-            Ok(ReadOutcome::Line(line)) => {
-                // A panic inside a handler must stay a per-connection
-                // error: report it and keep every session intact. The
-                // active count brackets dispatch *and* the response
-                // write, so a draining shutdown never truncates a reply.
-                let verb = Verb::of_command(line.split_whitespace().next().unwrap_or(""));
-                let started = Instant::now();
-                state.active.fetch_add(1, Ordering::SeqCst);
-                let resp = catch_unwind(AssertUnwindSafe(|| dispatch(state, verb, &line)))
-                    .unwrap_or_else(|_| Response::err("internal: request handler panicked"));
-                // Observe before the write: once a client has read its
-                // response, its request is guaranteed to be counted, so
-                // a METRICS scrape sequenced after the reply never
-                // under-reports. (The histogram spans dispatch to
-                // response assembly, not the socket write.)
-                state.metrics.observe(verb, started.elapsed());
-                let wrote = resp.write_to(&mut writer);
-                state.active.fetch_sub(1, Ordering::SeqCst);
-                if wrote.is_err() || state.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Answers one request line whose first word `handle_connection`
-/// already classified as `verb`.
-fn dispatch(state: &Arc<ServerState>, verb: Verb, line: &str) -> Response {
-    let line = line.trim();
-    if line.is_empty() {
-        return Response::err("empty request");
-    }
-    let (cmd, rest) = first_word(line);
-    match verb {
-        Verb::Load => cmd_load(state, rest),
-        Verb::Reload => cmd_reload(state, rest),
-        Verb::Analyze => cmd_analyze(state, rest),
-        Verb::Eval => cmd_eval(state, rest),
-        Verb::Inject => cmd_inject(state, rest),
-        Verb::Sweep => cmd_sweep(state, rest),
-        Verb::Hunt => cmd_hunt(state, rest),
-        Verb::Monitor => cmd_monitor(state, rest),
-        Verb::Event => cmd_event(state, rest),
-        Verb::Stats | Verb::Metrics | Verb::Shutdown if !rest.is_empty() => {
-            Response::err(format!("{cmd} takes no arguments"))
-        }
-        Verb::Stats => cmd_stats(state),
-        Verb::Metrics => cmd_metrics(state),
-        Verb::Shutdown => cmd_shutdown(state),
-        Verb::Other => Response::err(format!(
-            "unknown command {cmd:?} (expected LOAD, RELOAD, ANALYZE, EVAL, INJECT, SWEEP, \
-             HUNT, MONITOR, EVENT, STATS, METRICS or SHUTDOWN)"
-        )),
-    }
-}
-
-/// Splits the first word off `text` (already trimmed): the word, and the
-/// rest with its surrounding whitespace trimmed.
-fn first_word(text: &str) -> (&str, &str) {
-    match text.split_once(char::is_whitespace) {
-        Some((word, rest)) => (word, rest.trim()),
-        None => (text, ""),
-    }
-}
-
-/// The [`fnv64`] digest of the *canonicalized* spec text: comments and
-/// insignificant whitespace are erased first, so comment-only twins
-/// share a digest and hit the `LOAD` dedupe path instead of building a
-/// second session.
-fn content_digest(content: &str) -> u64 {
-    fnv64(canonicalize_spec(content).as_bytes())
-}
-
-fn cmd_load(state: &Arc<ServerState>, path: &str) -> Response {
-    if path.is_empty() {
-        return Response::err("LOAD takes a spec path");
-    }
-    let content = match std::fs::read_to_string(path) {
-        Ok(c) => c,
-        Err(e) => return Response::err(format!("cannot read {path}: {e}")),
-    };
-    let digest = content_digest(&content);
-    {
-        let mut store = state.store();
-        store.stats.loads += 1;
-        if let Some(&id) = store.by_digest.get(&digest) {
-            if let Some(session) = store.sessions.get(&id).cloned() {
-                store.stats.load_hits += 1;
-                store.touch(id);
-                return Response::from_text(&session.load_line());
-            }
-        }
-    }
-
-    // Parse and warm outside any lock; concurrent LOADs of the same new
-    // spec may both build, in which case the first insert wins below.
-    let (at, syms) = match parse_spec(&content) {
-        Ok(ok) => ok,
-        Err(e) => return Response::err(e.diagnostic(path)),
-    };
-    let (mut session, _) = build_session(&state.pool, digest, at, syms, None);
-
-    let mut store = state.store();
-    // Re-check: another connection may have inserted this digest while
-    // we were building.
-    if let Some(&id) = store.by_digest.get(&digest) {
-        if let Some(session) = store.sessions.get(&id).cloned() {
-            store.stats.load_hits += 1;
-            store.touch(id);
-            return Response::from_text(&session.load_line());
-        }
-    }
-    store.stats.parsed += 1;
-    store.next_id += 1;
-    let id = store.next_id;
-    session.id = id;
-    let session = Arc::new(session);
-    store.by_digest.insert(digest, id);
-    store.sessions.insert(id, Arc::clone(&session));
-    store.touch(id);
-    while store.sessions.len() > state.max_sessions {
-        let victim = store.recency.remove(0);
-        if let Some(gone) = store.sessions.remove(&victim) {
-            // Lineage-aware: a reloaded session's old digests no longer
-            // map to it, so only drop the mapping this victim still owns.
-            if store.by_digest.get(&gone.digest) == Some(&victim) {
-                store.by_digest.remove(&gone.digest);
-            }
-            store.stats.evictions += 1;
-        }
-    }
-    Response::from_text(&session.load_line())
-}
-
-/// What a session build took over from the session it replaces.
-#[derive(Default)]
-struct Reuse {
-    analysis: bool,
-    system: bool,
-    stages: usize,
-    rewarm: RewarmStats,
-}
-
-/// Builds the session for a parsed spec, outside any lock. With no
-/// `prior`, every stage is computed, as `LOAD` does. With the session a
-/// `RELOAD` replaces and the diff against it, every stage whose inputs
-/// the edit left untouched is reused: the analysis closure (advanced in
-/// place via [`AnalysisResume`] when assumptions were only added), the
-/// executed system (kept when the enacted protocol is equal), the
-/// Section 7 construction (stage checkpoint resume), and the evaluation
-/// cache (pointwise rewarm). The session takes the prior's id (`LOAD`
-/// assigns one after the build) and records its digest as the parent.
-fn build_session(
-    pool: &Pool,
-    digest: u64,
-    at: AtProtocol,
-    syms: Symbols,
-    prior: Option<(&Session, &SpecDiff)>,
-) -> (Session, Reuse) {
-    let old = prior.map(|(old, _)| old);
-    let mut reuse = Reuse::default();
-
-    // Analysis: take the retiring session's resume and advance it in
-    // place — identical protocol ⇒ as-is; assumptions only added (or a
-    // goal-only edit) ⇒ one delta saturation per level; otherwise, or
-    // when a concurrent reload already claimed the resume, analyze
-    // cold. `AnalysisResume::advance` requires unchanged steps, which
-    // `analysis_resumable` guarantees.
-    let taken = old.and_then(|old| {
-        old.resume
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-    });
-    let resume = match (prior, taken) {
-        (Some((old, _)), Some(r)) if at == old.at => {
-            reuse.analysis = true;
-            r
-        }
-        (Some((_, diff)), Some(mut r)) => match diff.analysis_resumable() {
-            Some(added) => {
-                r.advance(&at, added);
-                reuse.analysis = true;
-                r
-            }
-            None => analyze_at_resumable(&at),
-        },
-        _ => analyze_at_resumable(&at),
-    };
-    let analysis_text = resume.render(&at);
-
-    // Execution: `enact` ignores goals and belief assumptions, so any
-    // edit that leaves the enacted protocol equal keeps the system (and
-    // the executor-visible digest for the global execution cache).
-    let proto = enact(&at);
-    let kept = old.filter(|old| old.proto == proto);
-    reuse.system = kept.is_some();
-    let (system, no_system) = match kept {
-        Some(old) => (old.system.clone(), old.no_system.clone()),
-        None => match execute_with_faults(&proto, &ExecOptions::default(), &FaultPlan::new(0)) {
-            Ok((run, _)) => (Some(System::new([run])), String::new()),
-            Err(e) => (None, e.to_string()),
-        },
-    };
-
-    // Evaluation cache: reuse wholesale with the system, rewarm
-    // pointwise against the old snapshot when the system changed, or
-    // prewarm cold when there is nothing to diff against.
-    let (warmed, rewarm) = match (&system, kept, old) {
-        (None, _, _) => (EvalCache::default(), RewarmStats::default()),
-        (Some(_), Some(old), _) => {
-            let total = old.warmed.entry_count();
-            (
-                old.warmed.clone(),
-                RewarmStats {
-                    reused: total,
-                    total,
-                },
-            )
-        }
-        (
-            Some(sys),
-            None,
-            Some(Session {
-                system: Some(old_sys),
-                warmed: old_warmed,
-                ..
-            }),
-        ) => EvalCache::prewarm_delta_on(sys, old_sys, old_warmed, pool),
-        (Some(sys), None, _) => {
-            let warmed = EvalCache::prewarm_on(sys, pool);
-            let total = warmed.entry_count();
-            (warmed, RewarmStats { reused: 0, total })
-        }
-    };
-    reuse.rewarm = rewarm;
-
-    // Good-run construction: clone when nothing it depends on moved,
-    // resume from the stage checkpoint when only the belief assumptions
-    // moved, build otherwise (always over the freshly warmed cache).
-    let beliefs = belief_assumptions(&at);
-    let (goods, checkpoint) = match (&system, kept) {
-        (None, _) => (
-            GoodRuns::all_runs(&System::new(Vec::<atl_model::Run>::new())),
-            None,
-        ),
-        (Some(_), Some(old)) if beliefs == belief_assumptions(&old.at) => {
-            reuse.stages = old
-                .checkpoint
-                .as_ref()
-                .map_or(0, ConstructionCheckpoint::stages);
-            (old.goods.clone(), old.checkpoint.clone())
-        }
-        (Some(sys), _) => {
-            // A cold build resumes from the empty checkpoint. The loop
-            // fills the cache it is given at one job, so it gets a copy:
-            // the session keeps exactly the warmed cache.
-            let cold = ConstructionCheckpoint::default();
-            let prior = kept
-                .and_then(|old| old.checkpoint.as_ref())
-                .unwrap_or(&cold);
-            let cache = &mut warmed.clone();
-            match construct_in(sys, &beliefs, Budget::unlimited(), prior, pool, cache) {
-                Ok(c) => {
-                    reuse.stages = c.reused;
-                    (c.goods, Some(c.checkpoint))
-                }
-                Err(_) => (GoodRuns::all_runs(sys), None),
-            }
-        }
-    };
-
-    // Response memos answer over (system, goods, symbols) for EVAL and
-    // over the full protocol text for INJECT — carry each across only
-    // when its inputs are bytewise stable.
-    let memo = |m: &Mutex<HashMap<String, Response>>| {
-        m.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    };
-    let eval_memo = match kept {
-        Some(old) if syms == old.syms && goods == old.goods => memo(&old.eval_memo),
-        _ => HashMap::new(),
-    };
-    let inject_memo = match old {
-        Some(old) if at == old.at => memo(&old.inject_memo),
-        _ => HashMap::new(),
-    };
-
-    let session = Session {
-        id: old.map_or(0, |old| old.id),
-        digest,
-        parent: old.map(|old| old.digest),
-        at,
-        syms,
-        resume: Mutex::new(Some(resume)),
-        analysis_text,
-        proto,
-        system,
-        no_system,
-        goods,
-        checkpoint,
-        warmed,
-        eval_memo: Mutex::new(eval_memo),
-        inject_memo: Mutex::new(inject_memo),
-    };
-    (session, reuse)
-}
-
-/// `RELOAD <session-id> <spec-path>`: re-point a live session at an
-/// edited spec, structurally diffing the new parse against the old one
-/// and rebuilding it with [`build_session`], which reuses every artifact
-/// whose inputs are untouched. The rebuilt session keeps its id and
-/// records the old digest as its parent.
-fn cmd_reload(state: &Arc<ServerState>, rest: &str) -> Response {
-    let (id_text, path) = first_word(rest);
-    if path.is_empty() {
-        return Response::err("RELOAD takes <session-id> <spec-path>");
-    }
-    let old = match state.session(id_text) {
-        Ok(s) => s,
-        Err(e) => return e,
-    };
-    let content = match std::fs::read_to_string(path) {
-        Ok(c) => c,
-        Err(e) => return Response::err(format!("cannot read {path}: {e}")),
-    };
-    let digest = content_digest(&content);
-    if digest == old.digest {
-        // Canonically unchanged content: the live session already *is*
-        // the cold load of this spec.
-        let mut store = state.store();
-        store.stats.reloads += 1;
-        store.stats.reload_delta += 1;
-        store.touch(old.id);
-        return Response::from_text(&format!(
-            "{}\nreload unchanged: session kept as-is",
-            old.load_line()
-        ));
-    }
-
-    // Build outside the store lock, exactly like LOAD.
-    let (at, syms) = match parse_spec(&content) {
-        Ok(ok) => ok,
-        Err(e) => return Response::err(e.diagnostic(path)),
-    };
-    let diff = SpecDiff::classify(&old.at, &old.syms, &at, &syms);
-    let (session, reuse) = build_session(&state.pool, digest, at, syms, Some((&old, &diff)));
-    let session = Arc::new(session);
-    let summary = format!(
-        "reload {}: analysis {}, system {}, stages reused {}, cache points reused {}/{}",
-        diff.kind(),
-        if reuse.analysis {
-            "reused"
-        } else {
-            "recomputed"
-        },
-        if reuse.system {
-            "reused"
-        } else {
-            "re-executed"
-        },
-        reuse.stages,
-        reuse.rewarm.reused,
-        reuse.rewarm.total,
-    );
-
-    let mut store = state.store();
-    store.stats.reloads += 1;
-    if reuse.analysis || reuse.system || reuse.stages > 0 || reuse.rewarm.reused > 0 {
-        store.stats.reload_delta += 1;
-    } else {
-        store.stats.reload_full += 1;
-    }
-    // Re-point the session in place: same id, new digest. The old
-    // digest's dedupe mapping dies with the edit (unless some other
-    // session owns it); the new digest maps here unless a session
-    // already owns it — dedupe never steals.
-    if store.by_digest.get(&old.digest) == Some(&old.id) {
-        store.by_digest.remove(&old.digest);
-    }
-    store.by_digest.entry(digest).or_insert(old.id);
-    store.sessions.insert(old.id, Arc::clone(&session));
-    store.touch(old.id);
-    Response::from_text(&format!("{}\n{}", session.load_line(), summary))
-}
-
-fn cmd_analyze(state: &Arc<ServerState>, rest: &str) -> Response {
-    if rest.is_empty() || rest.split_whitespace().count() != 1 {
-        return Response::err("ANALYZE takes exactly one session id");
-    }
-    let session = match state.session(rest) {
-        Ok(s) => s,
-        Err(e) => return e,
-    };
-    state.store().stats.analyze_served += 1;
-    Response::from_text(&session.analysis_text)
-}
-
-fn cmd_eval(state: &Arc<ServerState>, rest: &str) -> Response {
-    let (id_text, rest) = first_word(rest);
-    let (point_text, formula_text) = first_word(rest);
-    if formula_text.is_empty() {
-        return Response::err("EVAL takes <session-id> <run:time|time> <formula>");
-    }
-    let session = match state.session(id_text) {
-        Ok(s) => s,
-        Err(e) => return e,
-    };
-    let memo_key = format!("{point_text} {formula_text}");
-    if let Some(hit) = session
-        .eval_memo
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&memo_key)
-        .cloned()
-    {
-        let mut store = state.store();
-        store.stats.eval_served += 1;
-        store.stats.eval_warm += 1;
-        return hit;
-    }
-
-    let resp = eval_response(&session, point_text, formula_text);
-    session
-        .eval_memo
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(memo_key, resp.clone());
-    state.store().stats.eval_served += 1;
-    resp
-}
-
-/// Evaluates one formula at one point of the session's system, using a
-/// thread-local [`Semantics`] over a clone of the prewarmed cache (the
-/// clone shares every memoized set by `Arc`, so this is the warm path).
-fn eval_response(session: &Session, point_text: &str, formula_text: &str) -> Response {
-    let Some(system) = &session.system else {
-        return Response::err(format!(
-            "session {} has no executable run: {}",
-            session.id, session.no_system
-        ));
-    };
-    let (run_text, time_text) = match point_text.split_once(':') {
-        Some((r, k)) => (r, k),
-        None => ("0", point_text),
-    };
-    let ri: usize = match run_text.parse() {
-        Ok(r) => r,
-        Err(e) => return Response::err(format!("bad run index {run_text:?}: {e}")),
-    };
-    let k: i64 = match time_text.parse() {
-        Ok(k) => k,
-        Err(e) => return Response::err(format!("bad time {time_text:?}: {e}")),
-    };
-    let phi = match parse_formula(formula_text, &session.syms) {
-        Ok(f) => f,
-        Err(e) => return Response::err(e.diagnostic("<formula>")),
-    };
-    let sem = Semantics::new_shared(
-        system,
-        session.goods.clone(),
-        Rc::new(RefCell::new(session.warmed.clone())),
-    );
-    match sem.eval(Point::new(ri, k), &phi) {
-        Ok(verdict) => Response::from_text(&verdict_line(Point::new(ri, k), &phi, verdict)),
-        Err(e) => Response::err(e.to_string()),
-    }
-}
-
-fn cmd_inject(state: &Arc<ServerState>, rest: &str) -> Response {
-    let (id_text, flags_text) = first_word(rest);
-    if id_text.is_empty() {
-        return Response::err("INJECT takes <session-id> [fault-flags]");
-    }
-    let session = match state.session(id_text) {
-        Ok(s) => s,
-        Err(e) => return e,
-    };
-    if let Some(hit) = session
-        .inject_memo
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(flags_text)
-        .cloned()
-    {
-        let mut store = state.store();
-        store.stats.inject_served += 1;
-        store.stats.inject_warm += 1;
-        return hit;
-    }
-
-    let (resp, exec_hit) = match inject_request(flags_text) {
-        Err(msg) => (Response::err(msg), false),
-        Ok(req) => match inject_report(&session.at, &req, &state.pool, &state.exec_cache) {
-            Ok(outcome) => (Response::from_text(&outcome.report), outcome.cache_hit),
-            Err(e) => (Response::err(e.to_string()), false),
-        },
-    };
-    session
-        .inject_memo
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(flags_text.to_string(), resp.clone());
-    let mut store = state.store();
-    store.stats.inject_served += 1;
-    if exec_hit {
-        store.stats.inject_exec_hits += 1;
-    }
-    resp
-}
-
-/// Reads `INJECT`'s flags: the fault flags of `atl inject`, through the
-/// same parser, so both answer a bad flag with the same text. INJECT
-/// takes nothing else.
-fn inject_request(flags: &str) -> Result<InjectRequest, String> {
-    PlanFlags::parse(flags.split_whitespace(), |flag, _| {
-        Err(format!(
-            "unknown inject flag {flag:?} (serve-mode inject takes single-plan fault flags)"
-        ))
-    })
-    .and_then(|flags| flags.request())
-}
-
-/// `SWEEP <id> [context=<c>] policy=<p> options=<o> plans=<plan>;<plan>;…`
-/// — the worker half of the distributed fabric. A shard naming an
-/// execution context other than the session's (a worker serving another
-/// spec than the coordinator's) is refused with `ERR context mismatch`.
-/// The shard executes through the same [`sweep_plans_in`] path as a
-/// local sweep, against the server-global [`ExecutionCache`], so
-/// repeated fingerprints across shards, sweeps, and sessions cost
-/// nothing; the response returns one wire-rendered outcome per plan, in
-/// request order, keyed by fingerprint digest.
-fn cmd_sweep(state: &Arc<ServerState>, rest: &str) -> Response {
-    let (id_text, rest) = first_word(rest);
-    if id_text.is_empty() {
-        return Response::err("SWEEP takes <session-id> policy=<p> options=<o> plans=<plans>");
-    }
-    let session = match state.session(id_text) {
-        Ok(s) => s,
-        Err(e) => return e,
-    };
-    let (asked, policy, options, plans) = match parse_sweep_request(rest) {
-        Ok(request) => request,
-        Err(msg) => return Response::err(msg),
-    };
-    let proto = enact_with(
-        &session.at,
-        EnactOptions {
-            expect_policy: policy,
-        },
-    );
-    let context = execution_context_digest(&proto, &options);
-    if let Some(asked) = asked.filter(|&asked| asked != context) {
-        return Response::err(format!(
-            "{CONTEXT_MISMATCH}: the shard names context {asked:016x}, session {} executes {context:016x}",
-            session.id
-        ));
-    }
-    let outcome = sweep_plans_in(
-        context,
-        &proto,
-        &options,
-        &plans,
-        &state.pool,
-        &state.exec_cache,
-    );
-    let lines = render_sweep_response(&outcome.results);
-    let mut store = state.store();
-    store.stats.sweep_served += 1;
-    store.stats.sweep_plans += plans.len() as u64;
-    store.stats.sweep_exec_hits += outcome.stats.cache_hits as u64;
-    Response { ok: true, lines }
-}
-
-/// `HUNT <id> [seed=N] [budget=N] [batch=N]` — run the coverage-guided
-/// attack search (`crate::hunt`) against a warmed session. The fuzzer's
-/// mutation space is derived from the session's protocol keys
-/// ([`default_space`]), executions ride the server-global
-/// [`ExecutionCache`] (so a repeated `HUNT`, or one overlapping a
-/// `SWEEP`, re-executes nothing it has already seen), and the response
-/// is the deterministic report `atl hunt` would print for the same
-/// seed and budget.
-fn cmd_hunt(state: &Arc<ServerState>, rest: &str) -> Response {
-    let (id_text, rest) = first_word(rest);
-    if id_text.is_empty() {
-        return Response::err("HUNT takes <session-id> [seed=N] [budget=N] [batch=N]");
-    }
-    let session = match state.session(id_text) {
-        Ok(s) => s,
-        Err(e) => return e,
-    };
-    // `atl hunt`'s `--seed`/`--budget`/`--batch`, from the same defaults.
-    let mut settings = HuntSettings::default();
-    settings.config.space = default_space(&session.at);
-    for token in rest.split_whitespace() {
-        let Some((field, value)) = token.split_once('=') else {
-            return Response::err(format!("bad HUNT field {token:?}"));
-        };
-        let config = &mut settings.config;
-        let parsed = match field {
-            "seed" => value
-                .parse()
-                .map(|v| config.seed = v)
-                .map_err(|e| e.to_string()),
-            "budget" => value
-                .parse()
-                .map(|v| config.budget = v)
-                .map_err(|e| e.to_string()),
-            "batch" => value
-                .parse()
-                .map(|v: usize| config.batch = v.max(1))
-                .map_err(|e| e.to_string()),
-            other => Err(format!("unknown HUNT field {other:?}")),
-        };
-        if let Err(msg) = parsed {
-            return Response::err(format!("bad HUNT {field}: {msg}"));
-        }
-    }
-    let report = hunt_report(&session.at, &settings, &state.pool, &state.exec_cache, None);
-    let (executed, classes) = (
-        report.outcome.stats.executed as u64,
-        report.outcome.classes.len() as u64,
-    );
-    let response = Response::from_text(&report.to_string());
-    let mut store = state.store();
-    store.stats.hunts_served += 1;
-    store.stats.hunt_plans += executed;
-    store.stats.hunt_classes += classes;
-    response
-}
-
-/// `MONITOR <formula>[;<formula>...]` — open a streaming monitor
-/// session watching the given formulas. Replies `monitor <id>: watching
-/// <n> formula(s)`; subsequent `EVENT <id> <line>` requests feed the
-/// run one trace line at a time.
-fn cmd_monitor(state: &Arc<ServerState>, rest: &str) -> Response {
-    let texts: Vec<String> = rest
-        .split(';')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .map(str::to_string)
-        .collect();
-    if texts.is_empty() {
-        return Response::err("MONITOR takes <formula>[;<formula>...]");
-    }
-    let id = {
-        let mut monitors = state.monitors();
-        let id = monitors.next_id.max(1);
-        monitors.next_id = id + 1;
-        id
-    };
-    let monitor = match Monitor::new(format!("monitor-{id}"), texts) {
-        Ok(m) => m,
-        Err(e) => return Response::err(e.diagnostic("monitor")),
-    };
-    let count = monitor.formula_count();
-    // Checkpointed before any EVENT can reach it, so no later
-    // checkpoint of this monitor is ever overwritten by this one.
-    persist_monitor(state, id, &monitor);
-    state
-        .monitors()
-        .sessions
-        .insert(id, Arc::new(Mutex::new(monitor)));
-    state.store().stats.monitors += 1;
-    Response::from_text(&format!("monitor {id}: watching {count} formula(s)"))
-}
-
-/// `EVENT <id> <trace line>` — extend monitor `<id>` by one trace line.
-/// Replies with the monitor's output for that line: verdict lines in
-/// the exact `atl eval` format for events, a pre-epoch marker before
-/// time 0, and nothing for directives.
-fn cmd_event(state: &Arc<ServerState>, rest: &str) -> Response {
-    let (id_text, line) = match rest.split_once(char::is_whitespace) {
-        Some((id, line)) => (id, line),
-        None => (rest, ""),
-    };
-    if id_text.is_empty() {
-        return Response::err("EVENT takes <monitor-id> <trace line>");
-    }
-    let Ok(id) = id_text.parse::<u64>() else {
-        return Response::err(format!("bad monitor id {id_text:?}"));
-    };
-    let Some(monitor) = state.monitors().sessions.get(&id).map(Arc::clone) else {
-        return Response::err(format!("no monitor {id}"));
-    };
-    let mut guard = monitor.lock().unwrap_or_else(PoisonError::into_inner);
-    let (before, recorded) = (guard.stats(), guard.line_count());
-    let outcome = guard.feed_line(line, &state.pool);
-    let after = guard.stats();
-    // Checkpointed under the monitor's lock whenever the monitor recorded
-    // the line — also when its verdicts failed — so checkpoints land in
-    // the order lines were fed and the file always holds the latest one.
-    if guard.line_count() > recorded {
-        persist_monitor(state, id, &guard);
-    }
-    drop(guard);
-    record_monitor_delta(state, before, after);
-    match outcome {
-        Ok(lines) => Response { ok: true, lines },
-        Err(e) => Response::err(e.diagnostic("event")),
-    }
-}
-
-/// Fold the stats delta from one `feed_line` call into [`ServeStats`],
-/// so `STATS` and `METRICS` aggregate across all monitor sessions.
-fn record_monitor_delta(state: &Arc<ServerState>, before: MonitorStats, after: MonitorStats) {
-    let mut store = state.store();
-    store.stats.monitor_events += (after.events - before.events) as u64;
-    store.stats.monitor_points_reused += (after.points_reused - before.points_reused) as u64;
-    store.stats.monitor_delta += (after.delta_saturations - before.delta_saturations) as u64;
-    store.stats.monitor_full += (after.full_saturations - before.full_saturations) as u64;
-}
-
-/// Checkpoint one monitor as the store frame `monitor-<id>`, keyed by
-/// its id. A persistence failure never fails the request: the monitor
-/// stays correct in memory and the next event retries the write.
-fn persist_monitor(state: &ServerState, id: u64, monitor: &Monitor) {
-    if let Some(store) = &state.monitor_store {
-        let body = checkpoint_body(&monitor.checkpoint(id));
-        let _ = store.write(
-            &format!("monitor-{id}"),
-            CHECKPOINT_HEADER,
-            &id.to_string(),
-            &body,
-        );
-    }
-}
-
-/// Replay every checkpoint in the store at startup, so monitor sessions
-/// survive a daemon restart — also those whose verdicts failed to
-/// evaluate ([`Monitor::resume`] replays past such lines). An invalid
-/// checkpoint is deleted by the store's read, and one whose trace no
-/// longer parses is skipped: a bad file must not stop the server from
-/// coming up.
-fn resume_monitors(state: &Arc<ServerState>, store: &FrameStore) {
-    for name in store.list("monitor-", "") {
-        let Some(id) = name
-            .strip_prefix("monitor-")
-            .and_then(|id| id.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        let Some(cp) = store.read(&name, CHECKPOINT_HEADER, &id.to_string(), |body| {
-            parse_checkpoint_body(id, body).ok()
-        }) else {
-            continue;
-        };
-        let Ok(monitor) = Monitor::resume(&cp, &state.pool) else {
-            continue;
-        };
-        state.store().stats.monitors += 1;
-        record_monitor_delta(state, MonitorStats::default(), monitor.stats());
-        let mut monitors = state.monitors();
-        monitors.sessions.insert(id, Arc::new(Mutex::new(monitor)));
-        monitors.next_id = monitors.next_id.max(id + 1);
-    }
-}
-
-fn cmd_stats(state: &Arc<ServerState>) -> Response {
-    let store = state.store();
-    let s = store.stats;
-    let census = store.census();
-    let execs = state.exec_cache.len();
-    let text = format!(
-        "sessions: {} live, capacity {}\n\
-         loads: {} total, {} parsed, {} cache hit(s), {} eviction(s)\n\
-         reloads: {} total, {} delta, {} full\n\
-         analyze: {} served\n\
-         eval: {} served, {} warm\n\
-         inject: {} served, {} warm, {} exec-cache hit(s)\n\
-         sweep: {} shard(s) served, {} plan(s)\n\
-         hunt: {} hunt(s) served, {} plan(s), {} class(es)\n\
-         monitor: {} session(s), {} event(s), {} point(s) reused, {} delta, {} full\n\
-         connections: {} reaped\n\
-         warmed: {} hidden state(s), {} frozen message(s), {} cached execution(s)",
-        census.live,
-        state.max_sessions,
-        s.loads,
-        s.parsed,
-        s.load_hits,
-        s.evictions,
-        s.reloads,
-        s.reload_delta,
-        s.reload_full,
-        s.analyze_served,
-        s.eval_served,
-        s.eval_warm,
-        s.inject_served,
-        s.inject_warm,
-        s.inject_exec_hits,
-        s.sweep_served,
-        s.sweep_plans,
-        s.hunts_served,
-        s.hunt_plans,
-        s.hunt_classes,
-        state.monitors().sessions.len(),
-        s.monitor_events,
-        s.monitor_points_reused,
-        s.monitor_delta,
-        s.monitor_full,
-        s.reaped,
-        census.hidden,
-        census.frozen,
-        execs
-    );
-    Response::from_text(&text)
-}
-
-/// `METRICS` — Prometheus-style text exposition from `crate::metrics`:
-/// per-verb request counters and latency histograms, queue/worker
-/// gauges with peaks, backpressure counters, and the session/cache
-/// counters `STATS` reports in fixed text, re-exposed as scrapeable
-/// series. Counter totals and `STATS` never disagree: both read the
-/// same [`ServeStats`] under the store lock.
-fn cmd_metrics(state: &Arc<ServerState>) -> Response {
-    let (stats, census) = {
-        let store = state.store();
-        (store.stats, store.census())
-    };
-    let extras = [
-        ExtraMetric {
-            name: "atl_serve_sessions_live",
-            help: "Warmed sessions currently resident.",
-            kind: MetricKind::Gauge,
-            value: census.live as u64,
-        },
-        ExtraMetric {
-            name: "atl_serve_session_capacity",
-            help: "Session capacity before LRU eviction.",
-            kind: MetricKind::Gauge,
-            value: state.max_sessions as u64,
-        },
-        ExtraMetric {
-            name: "atl_serve_connection_workers",
-            help: "Fixed connection worker threads (the concurrency bound).",
-            kind: MetricKind::Gauge,
-            value: state.conn_workers as u64,
-        },
-        ExtraMetric {
-            name: "atl_serve_queue_capacity",
-            help: "Accept-queue depth before overflow is answered ERR busy.",
-            kind: MetricKind::Gauge,
-            value: state.queue.capacity as u64,
-        },
-        ExtraMetric {
-            name: "atl_serve_inflight_requests",
-            help: "Requests currently dispatching or writing.",
-            kind: MetricKind::Gauge,
-            value: state.active.load(Ordering::SeqCst) as u64,
-        },
-        ExtraMetric {
-            name: "atl_serve_sessions_evicted_total",
-            help: "Sessions evicted by the LRU policy.",
-            kind: MetricKind::Counter,
-            value: stats.evictions,
-        },
-        ExtraMetric {
-            name: "atl_serve_load_cache_hits_total",
-            help: "LOADs answered by an existing session.",
-            kind: MetricKind::Counter,
-            value: stats.load_hits,
-        },
-        ExtraMetric {
-            name: "atl_serve_eval_warm_total",
-            help: "EVALs answered from the per-session memo.",
-            kind: MetricKind::Counter,
-            value: stats.eval_warm,
-        },
-        ExtraMetric {
-            name: "atl_serve_inject_warm_total",
-            help: "INJECTs answered from the per-session memo.",
-            kind: MetricKind::Counter,
-            value: stats.inject_warm,
-        },
-        ExtraMetric {
-            name: "atl_serve_exec_cache_entries",
-            help: "Entries resident in the global execution cache.",
-            kind: MetricKind::Gauge,
-            value: state.exec_cache.len() as u64,
-        },
-        ExtraMetric {
-            name: "atl_serve_exec_cache_evictions_total",
-            help: "Entries evicted from the bounded global execution cache.",
-            kind: MetricKind::Counter,
-            value: state.exec_cache.evictions(),
-        },
-        ExtraMetric {
-            name: "atl_serve_exec_cache_hits_total",
-            help: "INJECT and SWEEP executions answered by the global execution cache.",
-            kind: MetricKind::Counter,
-            value: stats.inject_exec_hits + stats.sweep_exec_hits,
-        },
-        ExtraMetric {
-            name: "atl_serve_sweep_plans_total",
-            help: "Fault plans received across all SWEEP shards.",
-            kind: MetricKind::Counter,
-            value: stats.sweep_plans,
-        },
-        ExtraMetric {
-            name: "atl_serve_hunts_total",
-            help: "HUNT requests served.",
-            kind: MetricKind::Counter,
-            value: stats.hunts_served,
-        },
-        ExtraMetric {
-            name: "atl_serve_hunt_plans_total",
-            help: "Fault-plan executions spent across all HUNT requests.",
-            kind: MetricKind::Counter,
-            value: stats.hunt_plans,
-        },
-        ExtraMetric {
-            name: "atl_serve_hunt_classes_total",
-            help: "Distinct degradation classes reported across all HUNT requests.",
-            kind: MetricKind::Counter,
-            value: stats.hunt_classes,
-        },
-        ExtraMetric {
-            name: "atl_serve_reaped_total",
-            help: "Connections closed for sitting idle past the timeout.",
-            kind: MetricKind::Counter,
-            value: stats.reaped,
-        },
-        ExtraMetric {
-            name: "atl_serve_reloads_total",
-            help: "RELOAD requests that re-pointed a session.",
-            kind: MetricKind::Counter,
-            value: stats.reloads,
-        },
-        ExtraMetric {
-            name: "atl_serve_reload_delta_total",
-            help: "RELOADs that reused at least one stage or cache from the prior session.",
-            kind: MetricKind::Counter,
-            value: stats.reload_delta,
-        },
-        ExtraMetric {
-            name: "atl_serve_reload_full_total",
-            help: "RELOADs that could reuse nothing and rebuilt everything.",
-            kind: MetricKind::Counter,
-            value: stats.reload_full,
-        },
-        ExtraMetric {
-            name: "atl_serve_sessions_with_lineage",
-            help: "Live sessions currently re-pointed from a parent spec digest.",
-            kind: MetricKind::Gauge,
-            value: census.lineage as u64,
-        },
-        ExtraMetric {
-            name: "atl_serve_warmed_hidden_states",
-            help: "Hidden-state entries across all warmed eval caches.",
-            kind: MetricKind::Gauge,
-            value: census.hidden as u64,
-        },
-        ExtraMetric {
-            name: "atl_serve_warmed_frozen_messages",
-            help: "Frozen interner messages across all warmed eval caches.",
-            kind: MetricKind::Gauge,
-            value: census.frozen as u64,
-        },
-        ExtraMetric {
-            name: "atl_serve_monitors_live",
-            help: "Monitor sessions currently resident.",
-            kind: MetricKind::Gauge,
-            value: state.monitors().sessions.len() as u64,
-        },
-        ExtraMetric {
-            name: "atl_serve_monitors_total",
-            help: "Monitor sessions opened (MONITOR requests plus resumed checkpoints).",
-            kind: MetricKind::Counter,
-            value: stats.monitors,
-        },
-        ExtraMetric {
-            name: "atl_serve_monitor_events_total",
-            help: "Trace events ingested across all monitor sessions.",
-            kind: MetricKind::Counter,
-            value: stats.monitor_events,
-        },
-        ExtraMetric {
-            name: "atl_serve_monitor_points_reused_total",
-            help: "Memoized point sets carried over by incremental monitor extensions.",
-            kind: MetricKind::Counter,
-            value: stats.monitor_points_reused,
-        },
-        ExtraMetric {
-            name: "atl_serve_monitor_delta_saturations_total",
-            help: "Monitor events served by the incremental delta path.",
-            kind: MetricKind::Counter,
-            value: stats.monitor_delta,
-        },
-        ExtraMetric {
-            name: "atl_serve_monitor_full_saturations_total",
-            help: "Monitor events that required a full prefix build and prewarm.",
-            kind: MetricKind::Counter,
-            value: stats.monitor_full,
-        },
-    ];
-    Response::from_text(&state.metrics.render(&extras))
-}
-
-fn cmd_shutdown(state: &Arc<ServerState>) -> Response {
-    state.shutdown.store(true, Ordering::SeqCst);
-    // Wake the accept loop with a throwaway connection so it observes
-    // the flag and exits.
-    let _ = TcpStream::connect(state.addr);
-    Response::from_text("bye")
-}
-
-/// A minimal blocking client for the wire protocol — the `testutil`
-/// side of the conformance harness, and what `atl client` wraps.
-pub struct Client {
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    /// Connects to a running daemon.
-    ///
-    /// # Errors
-    ///
-    /// Any [`io::Error`] from the connect.
-    pub fn connect(addr: SocketAddr) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        Ok(Client {
-            reader: BufReader::new(stream),
-        })
-    }
-
-    /// Connects with a bounded connect timeout — the fabric coordinator
-    /// uses this so a dead worker address fails fast instead of hanging
-    /// in the OS connect queue.
-    ///
-    /// # Errors
-    ///
-    /// Any [`io::Error`] from the connect, including `TimedOut`.
-    pub fn connect_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<Client> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        Ok(Client {
-            reader: BufReader::new(stream),
-        })
-    }
-
-    /// Bounds how long any single read on this connection may block
-    /// (`None` restores blocking reads). With a timeout set, a hung
-    /// daemon surfaces as a `WouldBlock`/`TimedOut` request error the
-    /// coordinator can treat as a shard failure.
-    ///
-    /// # Errors
-    ///
-    /// Any [`io::Error`] from the socket option.
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
-    }
-
-    /// Sends one request line and reads the response.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] on transport failure or an unparseable response
-    /// header (`InvalidData`).
-    pub fn request(&mut self, line: &str) -> io::Result<Response> {
-        let mut msg = line.to_string();
-        msg.push('\n');
-        self.reader.get_mut().write_all(msg.as_bytes())?;
-        let mut header = String::new();
-        if self.reader.read_line(&mut header)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "daemon closed the connection",
-            ));
-        }
-        let header = header.trim_end_matches(['\n', '\r']);
-        if let Some(msg) = header.strip_prefix("ERR ") {
-            return Ok(Response::err(msg));
-        }
-        let Some(count) = header
-            .strip_prefix("OK ")
-            .and_then(|n| n.parse::<usize>().ok())
-        else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad response header {header:?}"),
-            ));
-        };
-        let mut lines = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut l = String::new();
-            if self.reader.read_line(&mut l)? == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "daemon closed mid-payload",
-                ));
-            }
-            while l.ends_with('\n') || l.ends_with('\r') {
-                l.pop();
-            }
-            lines.push(l);
-        }
-        Ok(Response { ok: true, lines })
-    }
-
-    /// `LOAD`s a spec and returns the session id.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors, or `InvalidData` if the daemon said `ERR` or
-    /// the payload carried no session id.
-    pub fn load(&mut self, path: &str) -> io::Result<u64> {
-        let resp = self.request(&format!("LOAD {path}"))?;
-        resp.session_id().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                resp.err_message().unwrap_or("no session id").to_string(),
-            )
-        })
-    }
-
-    /// `RELOAD`s a session from an edited spec and returns the full
-    /// response (load line plus the reuse summary line).
-    ///
-    /// # Errors
-    ///
-    /// Transport errors, or `InvalidData` if the daemon said `ERR`.
-    pub fn reload(&mut self, id: u64, path: &str) -> io::Result<Response> {
-        let resp = self.request(&format!("RELOAD {id} {path}"))?;
-        if let Some(msg) = resp.err_message() {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, msg.to_string()));
-        }
-        Ok(resp)
-    }
-
-    /// Sends `SHUTDOWN`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Client::request`].
-    pub fn shutdown(&mut self) -> io::Result<Response> {
-        self.request("SHUTDOWN")
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::verbs::inject_request;
     use super::*;
+    use crate::enact::{enact_with, EnactOptions};
+    use crate::spec::parse_spec;
     use atl_lang::Key;
     use atl_model::wire::{render_exec_options, render_policy};
+    use atl_model::{execute_with_faults, execution_context_digest, ExecOptions, FaultPlan};
     use atl_model::{ExpectPolicy, PlanFingerprint};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::Ordering;
+    use std::time::Instant;
 
     fn start_test_server(max_sessions: usize) -> Server {
         Server::start(ServeConfig {

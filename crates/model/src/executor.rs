@@ -21,7 +21,7 @@ use crate::faults::{AbandonedStep, ExecReport, FaultEvent, FaultKind, FaultPlan}
 use crate::parallel::Pool;
 use crate::protocol::{ExpectPolicy, MsgPattern, OnTimeout, Protocol, RoleStep};
 use crate::run::{Run, RunBuilder};
-use crate::sweep::{sweep_plans_on, ExecutionCache, SweepGrid, SweepOutcome};
+use crate::sweep::{sweep_plans_on, ExecutionCache};
 use crate::system::System;
 use atl_lang::{seen_submsg_refs, Message, Principal};
 use rand::prelude::*;
@@ -643,23 +643,6 @@ pub fn execute_schedules(
 /// would produce.
 pub fn execute_fault_suite(protocol: &Protocol, base: &ExecOptions, plans: &[FaultPlan]) -> System {
     sweep_plans_on(protocol, base, plans, &Pool::auto(), &ExecutionCache::new()).system()
-}
-
-/// Enumerates `grid`, deduplicates plans by fingerprint, and executes
-/// the survivors sharded across `pool`, with a fresh per-call execution
-/// cache. The outcome — per-plan results in enumeration order plus the
-/// dedup/execution stats — is bit-identical at every worker count.
-///
-/// For multi-stage sweeps that should share executions (or an explicit
-/// plan list), use [`sweep_plans_on`](crate::sweep_plans_on) with a
-/// caller-owned [`ExecutionCache`](crate::ExecutionCache).
-pub fn execute_sweep_on(
-    protocol: &Protocol,
-    base: &ExecOptions,
-    grid: &SweepGrid,
-    pool: &Pool,
-) -> SweepOutcome {
-    sweep_plans_on(protocol, base, &grid.plans(), pool, &ExecutionCache::new())
 }
 
 /// All rotations of `0..n` — a cheap family of distinct schedules.

@@ -49,8 +49,8 @@ pub use action::{Action, Event};
 pub use adversary::{random_run, random_system, GenConfig};
 pub use error::ModelError;
 pub use executor::{
-    execute, execute_fault_suite, execute_schedules, execute_sweep_on, execute_with_faults,
-    execute_with_report, rotation_schedules, ExecOptions,
+    execute, execute_fault_suite, execute_schedules, execute_with_faults, execute_with_report,
+    rotation_schedules, ExecOptions,
 };
 pub use faults::{AbandonedStep, ExecReport, FaultError, FaultEvent, FaultKind, FaultPlan};
 pub use protocol::{ExpectPolicy, MsgPattern, OnTimeout, Protocol, Role, RoleStep};

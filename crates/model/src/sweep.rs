@@ -24,13 +24,12 @@
 //!    stages (the baseline/degraded pair, overlapping grids) execute
 //!    once per process instead of once per occurrence.
 //!
-//! The entry points are [`sweep_plans_on`] (explicit plan list, explicit
-//! cache) and [`execute_sweep_on`](crate::execute_sweep_on) (grid,
-//! fresh cache) in the executor module.
+//! The entry point is [`sweep_plans_on`] (explicit plan list, explicit
+//! cache); [`SweepGrid::plans`] builds the list from a grid.
 
 use crate::error::ModelError;
 use crate::executor::{execute_with_faults, ExecOptions};
-use crate::faults::{ExecReport, FaultError, FaultPlan};
+use crate::faults::{ExecReport, FaultPlan};
 use crate::parallel::Pool;
 use crate::protocol::Protocol;
 use crate::run::Run;
@@ -58,7 +57,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 ///     .drop_steps([0.0, 0.5, 1.0])
 ///     .replay_steps([0.0, 0.5]);
 /// assert_eq!(grid.len(), 4 * 3 * 2);
-/// assert!(grid.validate().is_ok());
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepGrid {
@@ -170,38 +168,6 @@ impl SweepGrid {
     /// True if the grid enumerates no plans (empty seed range).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Checks every probability step and the delay duration, with the
-    /// same boundary rules as [`FaultPlan::validate`].
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::BadProbability`] for a step outside `[0, 1]`;
-    /// [`FaultError::BadDelay`] if any positive delay step pairs with a
-    /// zero-round duration.
-    pub fn validate(&self) -> Result<(), FaultError> {
-        let axes: [(&'static str, &[f64]); 5] = [
-            ("drop", &self.drop_steps),
-            ("duplicate", &self.duplicate_steps),
-            ("delay", &self.delay_steps),
-            ("reorder", &self.reorder_steps),
-            ("replay", &self.replay_steps),
-        ];
-        for (field, steps) in axes {
-            for &value in steps {
-                if !(0.0..=1.0).contains(&value) {
-                    return Err(FaultError::BadProbability {
-                        field,
-                        value: format!("{value}"),
-                    });
-                }
-            }
-        }
-        if self.delay_rounds == 0 && self.delay_steps.iter().any(|&p| p > 0.0) {
-            return Err(FaultError::BadDelay { rounds: 0 });
-        }
-        Ok(())
     }
 
     /// Expands the grid into its plan list, in the documented axis order.
@@ -777,20 +743,10 @@ mod tests {
             vec![(3, 0.0), (3, 1.0), (4, 0.0), (4, 1.0)]
         );
         assert!(plans.iter().all(|p| p.replay_p == 0.25));
-        assert!(grid.validate().is_ok());
     }
 
     #[test]
-    fn grid_validation_mirrors_plan_validation() {
-        let bad = SweepGrid::new().drop_steps([0.5, 1.5]);
-        assert!(matches!(
-            bad.validate(),
-            Err(FaultError::BadProbability { field: "drop", .. })
-        ));
-        let bad = SweepGrid::new().delay_steps([0.5], 0);
-        assert!(matches!(bad.validate(), Err(FaultError::BadDelay { .. })));
-        // A zero-round duration is fine while no delay step can fire.
-        assert!(SweepGrid::new().delay_steps([0.0], 0).validate().is_ok());
+    fn empty_seed_range_enumerates_no_plans() {
         assert!(SweepGrid::new().seeds(5..5).is_empty());
     }
 

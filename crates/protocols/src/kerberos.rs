@@ -16,6 +16,7 @@
 
 use atl_ban::{BanStmt, IdealProtocol};
 use atl_core::annotate::AtProtocol;
+use atl_core::spec::parse_spec;
 use atl_lang::{Formula, Key, Message, Nonce};
 use atl_model::{ExecOptions, Protocol, Role};
 
@@ -68,32 +69,14 @@ pub fn figure1_ban() -> IdealProtocol {
         .goal(BanStmt::believes("B", BanStmt::believes("S", kab())))
 }
 
-/// Figure 1 in the reformulated logic. Note the explicit possession
-/// assumptions `A has Kas` and `B has Kbs` — the Section 3.1 decoupling.
+/// Figure 1 in the reformulated logic, as `specs/kerberos_figure1.atl`
+/// writes it. Note the explicit possession assumptions `A has Kas` and
+/// `B has Kbs` — the Section 3.1 decoupling.
 pub fn figure1_at() -> AtProtocol {
-    AtProtocol::new("kerberos-figure1 (AT)")
-        .assume(Formula::believes(
-            "A",
-            Formula::shared_key("A", Key::new("Kas"), "S"),
-        ))
-        .assume(Formula::believes(
-            "B",
-            Formula::shared_key("B", Key::new("Kbs"), "S"),
-        ))
-        .assume(Formula::believes("A", Formula::controls("S", kab())))
-        .assume(Formula::believes("B", Formula::controls("S", kab())))
-        .assume(Formula::believes("A", Formula::fresh(ts())))
-        .assume(Formula::believes("B", Formula::fresh(ts())))
-        .assume(Formula::has("A", Key::new("Kas")))
-        .assume(Formula::has("B", Key::new("Kbs")))
-        .step("S", "A", outer_message())
-        .step("A", "B", inner_certificate())
-        .goal(Formula::believes("A", kab()))
-        .goal(Formula::believes("B", kab()))
-        .goal(Formula::believes(
-            "A",
-            Formula::says("S", kab().into_message()),
-        ))
+    let (mut proto, _) = parse_spec(include_str!("../../../specs/kerberos_figure1.atl"))
+        .expect("specs/kerberos_figure1.atl parses");
+    proto.name.push_str(" (AT)");
+    proto
 }
 
 /// The full BAN89 Kerberos, which appends the handshake

@@ -17,7 +17,8 @@
 
 use atl_ban::{BanStmt, IdealProtocol};
 use atl_core::annotate::AtProtocol;
-use atl_lang::{Formula, Key, Message, Nonce};
+use atl_core::spec::parse_spec;
+use atl_lang::{Formula, Key};
 
 /// `A ↔Kab↔ B` as a typed formula.
 pub fn kab() -> Formula {
@@ -61,8 +62,9 @@ pub fn ban_protocol() -> IdealProtocol {
         .goal(BanStmt::believes("B", ban_kab()))
 }
 
-/// The idealized protocol in the reformulated logic. Honesty is gone, so
-/// the nested operator is `says`, and jurisdiction (A15) discharges it
+/// The idealized protocol in the reformulated logic, as
+/// `specs/wide_mouthed_frog.atl` writes it. Honesty is gone, so the
+/// nested operator is `says`, and jurisdiction (A15) discharges it
 /// without ever assuming `A` believes what it sends:
 ///
 /// ```text
@@ -70,43 +72,10 @@ pub fn ban_protocol() -> IdealProtocol {
 /// 2. S → B : {Ts, A says (A ↔Kab↔ B)}Kbs
 /// ```
 pub fn at_protocol() -> AtProtocol {
-    let ta = Message::nonce(Nonce::new("Ta"));
-    let ts = Message::nonce(Nonce::new("Ts"));
-    let a_says_kab = Formula::says("A", kab().into_message());
-    let msg1 = Message::encrypted(
-        Message::tuple([ta.clone(), kab().into_message()]),
-        Key::new("Kas"),
-        "A",
-    );
-    let msg2 = Message::encrypted(
-        Message::tuple([ts.clone(), a_says_kab.clone().into_message()]),
-        Key::new("Kbs"),
-        "S",
-    );
-    AtProtocol::new("wide-mouthed-frog (AT)")
-        .assume(Formula::believes(
-            "S",
-            Formula::shared_key("A", Key::new("Kas"), "S"),
-        ))
-        .assume(Formula::believes(
-            "B",
-            Formula::shared_key("B", Key::new("Kbs"), "S"),
-        ))
-        .assume(Formula::believes("S", Formula::controls("A", kab())))
-        .assume(Formula::believes(
-            "B",
-            Formula::controls("S", a_says_kab.clone()),
-        ))
-        .assume(Formula::believes("B", Formula::controls("A", kab())))
-        .assume(Formula::believes("S", Formula::fresh(ta)))
-        .assume(Formula::believes("B", Formula::fresh(ts)))
-        .assume(Formula::has("S", Key::new("Kas")))
-        .assume(Formula::has("B", Key::new("Kbs")))
-        .step("A", "S", msg1)
-        .step("S", "B", msg2)
-        .goal(Formula::believes("S", kab()))
-        .goal(Formula::believes("B", a_says_kab))
-        .goal(Formula::believes("B", kab()))
+    let (mut proto, _) = parse_spec(include_str!("../../../specs/wide_mouthed_frog.atl"))
+        .expect("specs/wide_mouthed_frog.atl parses");
+    proto.name.push_str(" (AT)");
+    proto
 }
 
 #[cfg(test)]
@@ -114,6 +83,7 @@ mod tests {
     use super::*;
     use atl_ban::analyze;
     use atl_core::annotate::analyze_at;
+    use atl_lang::{Message, Nonce};
 
     #[test]
     fn ban_analysis_succeeds() {
