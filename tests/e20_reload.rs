@@ -11,6 +11,7 @@
 //! executor-visible behavior, so a reload can never serve a stale
 //! execution.
 
+use atl::core::annotate::{analyze_at, analyze_at_resumable, render_analysis, AtProtocol};
 use atl::core::enact::enact;
 use atl::core::parallel::Pool;
 use atl::core::serve::{Client, Response, ServeConfig, Server};
@@ -18,6 +19,10 @@ use atl::core::spec::{canonicalize_spec, parse_spec};
 use atl::lang::arbitrary::arb_formula;
 use atl::lang::Formula;
 use atl::model::{execution_context_digest, ExecOptions};
+use atl::protocols::{
+    andrew, forwarding, kerberos, needham_schroeder, nessett, otway_rees, reflection,
+    wide_mouthed_frog, x509, yahalom,
+};
 use proptest::prelude::*;
 
 const SPEC_NAMES: &[&str] = &[
@@ -313,4 +318,61 @@ fn canonicalization_contract_for_load_dedupe() {
         canonicalize_spec(&reordered),
         "reordering is a real edit and must not be canonicalized away"
     );
+}
+
+/// Every AT idealization in the repository: the four committed specs and
+/// the 18 that `atl_protocols` builds.
+fn at_protocols() -> Vec<AtProtocol> {
+    let mut all: Vec<AtProtocol> = SPEC_NAMES
+        .iter()
+        .map(|name| {
+            let src = std::fs::read_to_string(spec_path(name)).expect("read spec");
+            parse_spec(&src).expect("committed spec parses").0
+        })
+        .collect();
+    all.extend([
+        kerberos::figure1_at(),
+        kerberos::full_at(),
+        needham_schroeder::at_protocol(true),
+        needham_schroeder::at_protocol(false),
+        yahalom::at_protocol(true),
+        yahalom::at_protocol(false),
+        otway_rees::at_protocol(),
+        wide_mouthed_frog::at_protocol(),
+        andrew::at_protocol(false),
+        andrew::at_protocol(true),
+        x509::at_protocol(true),
+        x509::at_protocol(false),
+        x509::at_protocol_signed(true),
+        x509::at_protocol_signed(false),
+        nessett::at_protocol(),
+        forwarding::at_protocol(),
+        reflection::at_protocol(),
+        reflection::reflected_at_protocol(),
+    ]);
+    all
+}
+
+/// The report a `LOAD` or `RELOAD` renders from its resumable analysis
+/// is the cold `atl analyze` report: for a fresh analysis of every AT
+/// idealization, and for one built without any single assumption and
+/// then advanced by it (a `RELOAD` that adds that assumption).
+#[test]
+fn resumed_analysis_renders_the_cold_report() {
+    for at in at_protocols() {
+        let cold = render_analysis(&at, &analyze_at(&at));
+        assert_eq!(analyze_at_resumable(&at).render(&at), cold, "{}", at.name);
+        for held_out in 0..at.assumptions.len() {
+            let mut reduced = at.clone();
+            let added = reduced.assumptions.remove(held_out);
+            let mut resume = analyze_at_resumable(&reduced);
+            resume.advance(&at, std::slice::from_ref(&added));
+            assert_eq!(
+                resume.render(&at),
+                cold,
+                "{} advanced by assumption {held_out}",
+                at.name
+            );
+        }
+    }
 }

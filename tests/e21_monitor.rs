@@ -12,6 +12,7 @@
 //! conformance (the serve-mode `EVENT` verb answers exactly what the
 //! in-process engine does).
 
+use atl::core::annotate::{analyze_at, render_analysis};
 use atl::core::monitor::Monitor;
 use atl::core::parallel::Pool;
 use atl::core::semantics::{GoodRuns, Semantics};
@@ -92,6 +93,39 @@ fn fixture_traces_conform_at_every_prefix() {
         let lines: Vec<&str> = text.lines().collect();
         for jobs in [1, 2] {
             check_conformance(&lines, formulas, jobs);
+        }
+    }
+}
+
+/// `Monitor::summary` is the cold `atl analyze` report of the monitor's
+/// protocol view after every line of each fixture trace, directives and
+/// pre-epoch events included.
+#[test]
+fn summary_is_the_cold_analysis_of_the_protocol_view() {
+    let pool = Pool::new(1);
+    let cases = [
+        (
+            "denning_sacco.run",
+            ["Env has Kab", "A has Kab", "B sees NbNew"],
+        ),
+        (
+            "ns_compromised.run",
+            ["Env has Kab", "B sees Nb", "A said Nb"],
+        ),
+    ];
+    for (name, formulas) in cases {
+        let mut monitor =
+            Monitor::new("monitor", formulas.map(String::from)).expect("formulas parse");
+        for line in fixture(name).lines() {
+            monitor
+                .feed_line(line, &pool)
+                .unwrap_or_else(|e| panic!("{name}: feed {line:?}: {e}"));
+            let proto = monitor.protocol();
+            assert_eq!(
+                monitor.summary(),
+                render_analysis(proto, &analyze_at(proto)),
+                "{name}: summary after {line:?}"
+            );
         }
     }
 }
