@@ -10,7 +10,6 @@
 //! between the two is the number the warm-vs-cold table in
 //! `BENCH_prover.json` records.
 
-use atl_core::annotate::analyze_at;
 use atl_core::monitor::Monitor;
 use atl_core::parallel::Pool;
 use atl_core::semantics::{GoodRuns, Semantics};
@@ -367,14 +366,11 @@ fn monitor_trace(events: usize) -> Vec<String> {
 /// re-walk of the same prefix.
 ///
 /// At each prefix length the monitor is pre-fed the whole prefix; the
-/// `incremental` benchmark clones it and feeds the next event (one
-/// delta saturation + one cache append + re-verdict), while the
-/// `batch_rewalk` benchmark recreates the same session state without
-/// incrementality: re-parse the full prefix-plus-event text, rebuild
-/// the system, prewarm and evaluate from scratch, and re-run the full
-/// annotation closure over every ingested fact (`analyze_at`) — the
-/// monitor keeps that closure current per event, so an honest re-walk
-/// must rebuild it too. The eprintln lines — feed timed alone, clone
+/// `incremental` benchmark clones it and feeds the next event (one run
+/// and cache append + re-verdict), while the `batch_rewalk` benchmark
+/// recreates the same verdicts without incrementality: re-parse the
+/// full prefix-plus-event text, rebuild the system, prewarm and
+/// evaluate from scratch. The eprintln lines — feed timed alone, clone
 /// outside the measured region — are what `BENCH_prover.json` records.
 fn bench_monitor(c: &mut Criterion) {
     let pool = Pool::new(1);
@@ -397,11 +393,6 @@ fn bench_monitor(c: &mut Criterion) {
             t.push('\n');
             t
         };
-        let proto_full = {
-            let mut complete = warmed.clone();
-            complete.feed_line(next, &pool).expect("event feeds");
-            complete.protocol().clone()
-        };
         let batch_rewalk = || {
             let (run, syms) = parse_trace(&full_text).expect("trace parses");
             let k = run.horizon();
@@ -415,7 +406,6 @@ fn bench_monitor(c: &mut Criterion) {
                 })
                 .collect();
             black_box(verdicts);
-            black_box(analyze_at(&proto_full).goals.len());
         };
 
         // Per-event numbers with the clone outside the timed region.

@@ -37,6 +37,17 @@ pub enum AtStep {
     },
 }
 
+impl AtStep {
+    /// The fact the annotation procedure asserts after this step: `to
+    /// sees message` for a send, `principal has key` for a `newkey`.
+    pub fn fact(&self) -> Formula {
+        match self {
+            AtStep::Send { to, message, .. } => Formula::sees(to.clone(), message.clone()),
+            AtStep::NewKey { principal, key } => Formula::has(principal.clone(), key.clone()),
+        }
+    }
+}
+
 impl fmt::Display for AtStep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -193,14 +204,7 @@ pub fn analyze_at_with(protocol: &AtProtocol, config: ProverConfig) -> AtAnalysi
     prover.saturate();
     let mut annotations = vec![prover.facts().clone()];
     for step in &protocol.steps {
-        match step {
-            AtStep::Send { to, message, .. } => {
-                prover.assume(Formula::sees(to.clone(), message.clone()));
-            }
-            AtStep::NewKey { principal, key } => {
-                prover.assume(Formula::has(principal.clone(), key.clone()));
-            }
-        }
+        prover.assume(step.fact());
         prover.saturate();
         annotations.push(prover.facts().clone());
     }
@@ -218,48 +222,37 @@ pub fn analyze_at_with(protocol: &AtProtocol, config: ProverConfig) -> AtAnalysi
 }
 
 /// An annotation run packaged for repeated in-place resumption (the
-/// serve daemon's `RELOAD`, the streaming monitor): the saturated prover
-/// at every annotation level — `levels[i]`'s fact set is annotation
-/// level `i`, the last entry is the final closure — **with trigger
-/// indexes intact**, plus the computed goal verdicts and stability
-/// warnings.
+/// serve daemon's `RELOAD`): the saturated prover of the final closure
+/// **with trigger indexes intact**, plus the computed goal verdicts and
+/// stability warnings. It keeps no per-step level: the final closure is
+/// all a report reads.
 ///
-/// Advancing a resume mutates its provers in place: an edit that adds
-/// assumptions costs one delta saturation per level, proportional to the
-/// *new* consequences only. An owner that threads the same resume
-/// through a chain of edits never clones a prover at all.
+/// Advancing a resume mutates its prover in place: an edit that adds
+/// assumptions costs one delta saturation, proportional to the *new*
+/// consequences only. An owner that threads the same resume through a
+/// chain of edits never clones the prover at all.
 #[derive(Clone, Debug)]
 pub struct AnalysisResume {
-    levels: Vec<Prover>,
+    prover: Prover,
     unstable_assumptions: Vec<Formula>,
     goals: Vec<(Formula, bool)>,
 }
 
 /// Runs the Section 4.3 annotation procedure like [`analyze_at`], but
-/// returns the run packaged for in-place resumption. The extra cost over
-/// a plain analysis is one prover clone per protocol step.
+/// returns its final closure packaged for in-place resumption. The
+/// assumptions are saturated, then every step's [fact](AtStep::fact) in
+/// one [`Prover::saturate_delta`]: the closure is a unique fixpoint, so
+/// it holds the facts [`analyze_at`] derives step by step, though the
+/// prover records other derivations for some of them.
 pub fn analyze_at_resumable(protocol: &AtProtocol) -> AnalysisResume {
     let mut prover = Prover::with_config(
         protocol.assumptions.iter().cloned(),
         ProverConfig::default(),
     );
     prover.saturate();
-    let mut levels = Vec::with_capacity(protocol.steps.len() + 1);
-    for step in &protocol.steps {
-        levels.push(prover.clone());
-        match step {
-            AtStep::Send { to, message, .. } => {
-                prover.assume(Formula::sees(to.clone(), message.clone()));
-            }
-            AtStep::NewKey { principal, key } => {
-                prover.assume(Formula::has(principal.clone(), key.clone()));
-            }
-        }
-        prover.saturate();
-    }
-    levels.push(prover);
+    prover.saturate_delta(protocol.steps.iter().map(AtStep::fact));
     let mut resume = AnalysisResume {
-        levels,
+        prover,
         unstable_assumptions: Vec::new(),
         goals: Vec::new(),
     };
@@ -268,19 +261,17 @@ pub fn analyze_at_resumable(protocol: &AtProtocol) -> AnalysisResume {
 }
 
 impl AnalysisResume {
-    /// Re-verifies for an edited protocol by extending every level with
-    /// `added` **in place** — one delta saturation each, no re-indexing,
-    /// no clone. The caller guarantees that `new.steps` equals the
-    /// analyzed steps and that `new.assumptions` is the old multiset plus
-    /// `added`, in any order (goals may differ freely — they never feed
-    /// the closure — and `added` may be empty for a goal-only edit).
+    /// Re-verifies for an edited protocol by extending the closure with
+    /// `added` **in place** — one delta saturation, no re-indexing, no
+    /// clone. The caller guarantees that `new.steps` equals the analyzed
+    /// steps and that `new.assumptions` is the old multiset plus `added`,
+    /// in any order (goals may differ freely — they never feed the
+    /// closure — and `added` may be empty for a goal-only edit).
     /// Afterwards this resume is exactly what [`analyze_at_resumable`] of
-    /// `new` would have built — same levels, verdicts, warnings, and
+    /// `new` would have built — same closure, verdicts, warnings, and
     /// report bytes — by the closure argument `cl(S ∪ A) = cl(cl(S) ∪ A)`.
     pub fn advance(&mut self, new: &AtProtocol, added: &[Formula]) {
-        for p in &mut self.levels {
-            p.saturate_delta(added.iter().cloned());
-        }
+        self.prover.saturate_delta(added.iter().cloned());
         self.reverdict(new);
     }
 
@@ -291,16 +282,12 @@ impl AnalysisResume {
             .filter(|f| !is_linguistically_stable(f))
             .cloned()
             .collect();
-        let last = self.final_prover();
+        let prover = &self.prover;
         self.goals = protocol
             .goals
             .iter()
-            .map(|g| (g.clone(), last.holds(g)))
+            .map(|g| (g.clone(), prover.holds(g)))
             .collect();
-    }
-
-    fn final_prover(&self) -> &Prover {
-        self.levels.last().expect("at least the initial level")
     }
 
     /// The canonical report for the current state — byte-identical to
@@ -308,22 +295,10 @@ impl AnalysisResume {
     pub fn render(&self, protocol: &AtProtocol) -> String {
         render_report(
             protocol,
-            self.final_prover().facts().len(),
+            self.prover.facts().len(),
             &self.unstable_assumptions,
             &self.goals,
         )
-    }
-
-    /// Extracts the full [`AtAnalysis`] view (cloning every level) —
-    /// for callers that need the annotation sets themselves rather than
-    /// the report.
-    pub fn to_analysis(&self) -> AtAnalysis {
-        AtAnalysis {
-            annotations: self.levels.iter().map(|p| p.facts().clone()).collect(),
-            prover: self.final_prover().clone(),
-            goals: self.goals.clone(),
-            unstable_assumptions: self.unstable_assumptions.clone(),
-        }
     }
 }
 
@@ -424,15 +399,12 @@ mod tests {
     }
 
     /// The resume is indistinguishable from a cold analysis of `proto`:
-    /// annotation levels, verdicts, warnings, prover closure, and report
-    /// bytes.
+    /// verdicts, warnings, final closure, and report bytes.
     fn assert_matches_cold(resume: &AnalysisResume, proto: &AtProtocol) {
         let cold = analyze_at(proto);
-        let resumed = resume.to_analysis();
-        assert_eq!(resumed.annotations, cold.annotations);
-        assert_eq!(resumed.goals, cold.goals);
-        assert_eq!(resumed.unstable_assumptions, cold.unstable_assumptions);
-        assert_eq!(resumed.prover.facts(), cold.prover.facts());
+        assert_eq!(resume.goals, cold.goals);
+        assert_eq!(resume.unstable_assumptions, cold.unstable_assumptions);
+        assert_eq!(resume.prover.facts(), cold.prover.facts());
         assert_eq!(resume.render(proto), render_analysis(proto, &cold));
     }
 
@@ -472,7 +444,7 @@ mod tests {
         let mut resume = analyze_at_resumable(&base);
         let edited = base.clone().assume(unstable.clone());
         resume.advance(&edited, std::slice::from_ref(&unstable));
-        assert_eq!(resume.to_analysis().unstable_assumptions, vec![unstable]);
+        assert_eq!(resume.unstable_assumptions, vec![unstable]);
         assert_matches_cold(&resume, &edited);
     }
 

@@ -24,12 +24,12 @@
 //! `MONITOR` sessions) into a starting corpus, so a hunt can pick up
 //! from live traffic.
 
-use crate::annotate::{AtProtocol, AtStep};
+use crate::annotate::AtProtocol;
 use crate::enact::{enact_with, EnactOptions};
 use crate::parallel::Pool;
 use crate::request::PlanFlags;
 use crate::sweep::{delivery_mask, MaskVerdicts};
-use atl_lang::{Formula, Key, KeyTerm, Message, Principal};
+use atl_lang::{Formula, Key, Principal};
 use atl_model::wire::parse_checkpoint;
 use atl_model::{
     hunt_plans_on, Action, DegradationClass, ExecOptions, ExecOutcome, ExecutionCache,
@@ -212,63 +212,8 @@ fn error_class(e: &ModelError) -> String {
 /// Every key mentioned anywhere in the protocol's steps, in sorted
 /// order — the compromise candidates of [`default_space`].
 pub fn protocol_keys(at: &AtProtocol) -> Vec<Key> {
-    let mut keys = BTreeSet::new();
-    for step in &at.steps {
-        match step {
-            AtStep::Send { message, .. } => message_keys(message, &mut keys),
-            AtStep::NewKey { key, .. } => {
-                keys.insert(key.clone());
-            }
-        }
-    }
+    let keys: BTreeSet<Key> = at.steps.iter().flat_map(|s| s.fact().keys()).collect();
     keys.into_iter().collect()
-}
-
-fn key_term(t: &KeyTerm, out: &mut BTreeSet<Key>) {
-    if let KeyTerm::Key(k) = t {
-        out.insert(k.clone());
-    }
-}
-
-fn message_keys(m: &Message, out: &mut BTreeSet<Key>) {
-    match m {
-        Message::Key(k) => {
-            out.insert(k.clone());
-        }
-        Message::Formula(f) => formula_keys(f, out),
-        Message::Tuple(items) => items.iter().for_each(|i| message_keys(i, out)),
-        Message::Encrypted { body, key, .. }
-        | Message::Signed { body, key, .. }
-        | Message::PubEncrypted { body, key, .. } => {
-            key_term(key, out);
-            message_keys(body, out);
-        }
-        Message::Combined { body, secret, .. } => {
-            message_keys(body, out);
-            message_keys(secret, out);
-        }
-        Message::Forwarded(body) => message_keys(body, out),
-        _ => {}
-    }
-}
-
-fn formula_keys(f: &Formula, out: &mut BTreeSet<Key>) {
-    match f {
-        Formula::Prop(_) | Formula::True => {}
-        Formula::Not(g) => formula_keys(g, out),
-        Formula::And(a, b) => {
-            formula_keys(a, out);
-            formula_keys(b, out);
-        }
-        Formula::Believes(_, g) | Formula::Controls(_, g) => formula_keys(g, out),
-        Formula::Sees(_, m) | Formula::Said(_, m) | Formula::Says(_, m) | Formula::Fresh(m) => {
-            message_keys(m, out)
-        }
-        Formula::SharedSecret(_, m, _) => message_keys(m, out),
-        Formula::SharedKey(_, t, _) | Formula::Has(_, t) | Formula::PublicKey(t, _) => {
-            key_term(t, out)
-        }
-    }
 }
 
 /// The default mutation space for `at`: the standard five-point
@@ -366,7 +311,7 @@ pub fn hunt_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atl_lang::Nonce;
+    use atl_lang::{Message, Nonce};
     use atl_model::MutationSpace;
 
     /// Figure 1 (Kerberos fragment), as in the sweep tests.

@@ -7,7 +7,7 @@
 //! [`Monitor`] exploits that. It holds one live run prefix, fed one raw
 //! trace line at a time through the same [`TraceFeed`] grammar the batch
 //! parser uses, and after every event re-verdicts its watched formulas
-//! at the new final point with three incremental moves instead of a
+//! at the new final point with two incremental moves instead of a
 //! re-walk:
 //!
 //! - the run grows **in place** ([`System::extend_run`]), no rebuild;
@@ -16,10 +16,11 @@
 //!   states and accountable sets are computed, everything earlier is
 //!   kept by reference — and the one inline evaluator that verdicts an
 //!   event (`Semantics::map_runs` at one job) writes what it memoized
-//!   back into the same cache, also when a formula fails to evaluate;
-//! - the annotation closure advances by **one delta saturation** per
-//!   level ([`AnalysisResume::advance`]), proportional to the new
-//!   event's consequences only.
+//!   back into the same cache, also when a formula fails to evaluate.
+//!
+//! An event also appends its fact to the monitor's protocol view
+//! ([`Monitor::protocol`]), but runs no saturation: the annotation
+//! closure is computed only when [`Monitor::summary`] asks for it.
 //!
 //! Verdict lines are byte-identical to `atl eval` over a batch re-parse
 //! of the same prefix at every event (`tests/e21_monitor.rs` proves
@@ -43,7 +44,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::annotate::{analyze_at_resumable, AnalysisResume, AtProtocol};
+use crate::annotate::{analyze_at, render_analysis, AtProtocol};
 use crate::parallel::Pool;
 use crate::semantics::{verdict_line, EvalCache, GoodRuns, Semantics};
 use atl_lang::parser::{parse_formula, ParseError, Symbols};
@@ -116,7 +117,7 @@ pub struct MonitorStats {
     /// Memoized point sets carried over across extensions — the work
     /// the incremental path did *not* redo.
     pub points_reused: usize,
-    /// Incremental advances: one delta saturation + one cache append.
+    /// Incremental advances: one run and cache append each.
     pub delta_saturations: usize,
     /// Full builds: the first buildable prefix costs one batch prewarm.
     pub full_saturations: usize,
@@ -124,7 +125,7 @@ pub struct MonitorStats {
 
 /// A live monitor session: one growing run prefix, a set of watched
 /// formulas, and the memoized state to re-verdict them at delta cost
-/// per event (see the module docs for the three incremental moves).
+/// per event (see the module docs for the two incremental moves).
 #[derive(Clone, Debug)]
 pub struct Monitor {
     name: String,
@@ -134,7 +135,6 @@ pub struct Monitor {
     system: Option<System>,
     warmed: EvalCache,
     proto: AtProtocol,
-    resume: AnalysisResume,
     lines: Vec<String>,
     last_verdicts: Vec<bool>,
     header_locked: bool,
@@ -160,7 +160,6 @@ impl Monitor {
             parse_formula(text, &Symbols::default()).map_err(MonitorError::Formula)?;
         }
         let proto = AtProtocol::new(name.clone());
-        let resume = analyze_at_resumable(&proto);
         Ok(Monitor {
             name,
             feed: TraceFeed::new(),
@@ -169,7 +168,6 @@ impl Monitor {
             system: None,
             warmed: EvalCache::default(),
             proto,
-            resume,
             lines: Vec::new(),
             last_verdicts: Vec::new(),
             header_locked: false,
@@ -220,8 +218,8 @@ impl Monitor {
             // The header is locked once actions start, so the symbol
             // table is now exactly what a batch parse of any prefix
             // would return; the declared starting key sets seed the
-            // annotation closure the way initial assumptions seed a
-            // protocol analysis.
+            // protocol view the way initial assumptions seed a protocol
+            // analysis.
             self.header_locked = true;
             let syms = self.feed.symbols();
             let mut proto = std::mem::replace(&mut self.proto, AtProtocol::new(""));
@@ -235,20 +233,15 @@ impl Monitor {
                 .builder()
                 .expect("events imply a builder")
                 .initial_state();
-            let mut seeds = Vec::new();
             for p in initial.principals() {
                 for key in initial.key_set(p) {
-                    seeds.push(Formula::has(p.clone(), key.clone()));
+                    proto = proto.assume(Formula::has(p.clone(), key.clone()));
                 }
             }
             for key in initial.env_key_set() {
-                seeds.push(Formula::has(Principal::environment(), key.clone()));
-            }
-            for f in &seeds {
-                proto = proto.assume(f.clone());
+                proto = proto.assume(Formula::has(Principal::environment(), key.clone()));
             }
             self.proto = proto;
-            self.resume.advance(&self.proto, &seeds);
         }
         self.ingest_fact();
         let builder = self.feed.builder().expect("events imply a builder");
@@ -281,10 +274,9 @@ impl Monitor {
         self.verdict_lines()
     }
 
-    /// Assumes the fed event's fact and advances the annotation closure
-    /// by one delta saturation per level: `send` ⇒ `P said M`,
-    /// `recv` ⇒ `P sees M`, `newkey` ⇒ `P has K`; idle padding steps
-    /// carry no fact.
+    /// Appends the fed event's fact to the protocol view as an
+    /// assumption: `send` ⇒ `P said M`, `recv` ⇒ `P sees M`, `newkey` ⇒
+    /// `P has K`; idle padding steps carry no fact.
     fn ingest_fact(&mut self) {
         let Some(event) = self.feed.builder().and_then(|b| b.last_event()) else {
             return;
@@ -298,9 +290,7 @@ impl Monitor {
             Action::Receive { message } => Formula::sees(actor, message.clone()),
             Action::NewKey { key } => Formula::has(actor, key.clone()),
         };
-        let proto = std::mem::replace(&mut self.proto, AtProtocol::new(""));
-        self.proto = proto.assume(fact.clone());
-        self.resume.advance(&self.proto, &[fact]);
+        self.proto.assumptions.push(fact);
     }
 
     /// Evaluates every watched formula at the run's final point through
@@ -332,10 +322,11 @@ impl Monitor {
             .collect())
     }
 
-    /// The BAN-style annotation summary for everything ingested so far
-    /// — byte-identical to a cold analysis of the same assumption set.
+    /// The BAN-style annotation summary for everything ingested so far:
+    /// the [`render_analysis`] report of a cold [`analyze_at`] over
+    /// [`Self::protocol`], computed when called.
     pub fn summary(&self) -> String {
-        self.resume.render(&self.proto)
+        render_analysis(&self.proto, &analyze_at(&self.proto))
     }
 
     /// Packages the session for durable storage (inputs, not derived
@@ -386,9 +377,7 @@ impl Monitor {
 
     /// The protocol view of everything ingested so far: one assumption
     /// per seeded initial key and per event fact, the watched formulas
-    /// as goals. A batch re-analysis of this protocol (`analyze_at`)
-    /// recreates from scratch the closure the monitor advances
-    /// incrementally — the comparison the benchmarks draw.
+    /// as goals. [`Self::summary`] analyzes it.
     pub fn protocol(&self) -> &AtProtocol {
         &self.proto
     }

@@ -26,7 +26,7 @@ pub(super) struct Session {
     pub(super) syms: Symbols,
     /// The annotation run packaged for in-place resumption. A `RELOAD`
     /// *takes* it (the session is retiring anyway) and advances the
-    /// provers directly — no per-level clone, no re-indexing. `None`
+    /// prover directly — no clone, no re-indexing. `None`
     /// only after a concurrent reload already claimed it, in which case
     /// the loser re-analyzes cold.
     resume: Mutex<Option<AnalysisResume>>,
@@ -82,6 +82,17 @@ impl Store {
         self.recency.push(id);
     }
 
+    /// The `LOAD` answer of the live session already built from the spec
+    /// with canonical digest `digest`, counted as a dedupe hit; `None`
+    /// when no live session has that digest.
+    fn dedupe_hit(&mut self, digest: u64) -> Option<Response> {
+        let id = *self.by_digest.get(&digest)?;
+        let line = self.sessions.get(&id)?.load_line();
+        self.stats.load_hits += 1;
+        self.touch(id);
+        Some(Response::from_text(&line))
+    }
+
     /// What `STATS` and `METRICS` report about the resident sessions,
     /// in one walk under the store lock.
     pub(super) fn census(&self) -> Census {
@@ -132,12 +143,8 @@ pub(super) fn cmd_load(state: &Arc<ServerState>, path: &str) -> Response {
     {
         let mut store = state.store();
         store.stats.loads += 1;
-        if let Some(&id) = store.by_digest.get(&digest) {
-            if let Some(session) = store.sessions.get(&id).cloned() {
-                store.stats.load_hits += 1;
-                store.touch(id);
-                return Response::from_text(&session.load_line());
-            }
+        if let Some(hit) = store.dedupe_hit(digest) {
+            return hit;
         }
     }
 
@@ -152,12 +159,8 @@ pub(super) fn cmd_load(state: &Arc<ServerState>, path: &str) -> Response {
     let mut store = state.store();
     // Re-check: another connection may have inserted this digest while
     // we were building.
-    if let Some(&id) = store.by_digest.get(&digest) {
-        if let Some(session) = store.sessions.get(&id).cloned() {
-            store.stats.load_hits += 1;
-            store.touch(id);
-            return Response::from_text(&session.load_line());
-        }
+    if let Some(hit) = store.dedupe_hit(digest) {
+        return hit;
     }
     store.stats.parsed += 1;
     store.next_id += 1;
@@ -210,11 +213,11 @@ fn build_session(
     let mut reuse = Reuse::default();
 
     // Analysis: take the retiring session's resume and advance it in
-    // place — identical protocol ⇒ as-is; assumptions only added (or a
-    // goal-only edit) ⇒ one delta saturation per level; otherwise, or
-    // when a concurrent reload already claimed the resume, analyze
-    // cold. `AnalysisResume::advance` requires unchanged steps, which
-    // `analysis_resumable` guarantees.
+    // place when assumptions were only added — one delta saturation, an
+    // empty one for an unchanged protocol or a goal-only edit;
+    // otherwise, or when a concurrent reload already claimed the resume,
+    // analyze cold. `AnalysisResume::advance` requires unchanged steps,
+    // which `analysis_resumable` guarantees.
     let taken = old.and_then(|old| {
         old.resume
             .lock()
@@ -222,10 +225,6 @@ fn build_session(
             .take()
     });
     let resume = match (prior, taken) {
-        (Some((old, _)), Some(r)) if at == old.at => {
-            reuse.analysis = true;
-            r
-        }
         (Some((_, diff)), Some(mut r)) => match diff.analysis_resumable() {
             Some(added) => {
                 r.advance(&at, added);

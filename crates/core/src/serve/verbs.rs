@@ -15,6 +15,7 @@ use atl_model::wire::{
 };
 use atl_model::{execution_context_digest, sweep_plans_in, Point};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::net::TcpStream;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
@@ -83,27 +84,30 @@ fn cmd_eval(state: &Arc<ServerState>, rest: &str) -> Response {
         Err(e) => return e,
     };
     let memo_key = format!("{point_text} {formula_text}");
-    if let Some(hit) = session
-        .eval_memo
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&memo_key)
-        .cloned()
-    {
-        let mut store = state.store();
-        store.stats.eval_served += 1;
-        store.stats.eval_warm += 1;
-        return hit;
-    }
-
-    let resp = eval_response(&session, point_text, formula_text);
-    session
-        .eval_memo
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(memo_key, resp.clone());
-    state.store().stats.eval_served += 1;
+    let (resp, warm) = memoized(&session.eval_memo, &memo_key, || {
+        eval_response(&session, point_text, formula_text)
+    });
+    let mut store = state.store();
+    store.stats.eval_served += 1;
+    store.stats.eval_warm += u64::from(warm);
     resp
+}
+
+/// The one memo path of `EVAL` and `INJECT`: the response memoized under
+/// `key`, or else `answer`'s, computed outside the memo's lock and
+/// memoized. The flag is true for a memo hit.
+fn memoized(
+    memo: &Mutex<HashMap<String, Response>>,
+    key: &str,
+    answer: impl FnOnce() -> Response,
+) -> (Response, bool) {
+    let lock = || memo.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(hit) = lock().get(key).cloned() {
+        return (hit, true);
+    }
+    let resp = answer();
+    lock().insert(key.to_string(), resp.clone());
+    (resp, false)
 }
 
 /// Evaluates one formula at one point of the session's system, using a
@@ -152,36 +156,23 @@ fn cmd_inject(state: &Arc<ServerState>, rest: &str) -> Response {
         Ok(s) => s,
         Err(e) => return e,
     };
-    if let Some(hit) = session
-        .inject_memo
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(flags_text)
-        .cloned()
-    {
-        let mut store = state.store();
-        store.stats.inject_served += 1;
-        store.stats.inject_warm += 1;
-        return hit;
-    }
-
-    let (resp, exec_hit) = match inject_request(flags_text) {
-        Err(msg) => (Response::err(msg), false),
-        Ok(req) => match inject_report(&session.at, &req, &state.pool, &state.exec_cache) {
-            Ok(outcome) => (Response::from_text(&outcome.report), outcome.cache_hit),
-            Err(e) => (Response::err(e.to_string()), false),
-        },
-    };
-    session
-        .inject_memo
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(flags_text.to_string(), resp.clone());
+    let mut exec_hit = false;
+    let (resp, warm) = memoized(&session.inject_memo, flags_text, || {
+        match inject_request(flags_text) {
+            Err(msg) => Response::err(msg),
+            Ok(req) => match inject_report(&session.at, &req, &state.pool, &state.exec_cache) {
+                Ok(outcome) => {
+                    exec_hit = outcome.cache_hit;
+                    Response::from_text(&outcome.report)
+                }
+                Err(e) => Response::err(e.to_string()),
+            },
+        }
+    });
     let mut store = state.store();
     store.stats.inject_served += 1;
-    if exec_hit {
-        store.stats.inject_exec_hits += 1;
-    }
+    store.stats.inject_warm += u64::from(warm);
+    store.stats.inject_exec_hits += u64::from(exec_hit);
     resp
 }
 

@@ -264,16 +264,7 @@ impl MaskVerdicts {
     pub fn new(at: &AtProtocol) -> Self {
         MaskVerdicts {
             assumptions: at.assumptions.clone(),
-            step_facts: at
-                .steps
-                .iter()
-                .map(|step| match step {
-                    AtStep::Send { to, message, .. } => Formula::sees(to.clone(), message.clone()),
-                    AtStep::NewKey { principal, key } => {
-                        Formula::has(principal.clone(), key.clone())
-                    }
-                })
-                .collect(),
+            step_facts: at.steps.iter().map(AtStep::fact).collect(),
             goals: at.goals.clone(),
             base: None,
             memo: BTreeMap::new(),

@@ -50,14 +50,6 @@ impl KeyTerm {
         }
     }
 
-    /// Returns the parameter, if this term is one.
-    pub fn as_param(&self) -> Option<&Param> {
-        match self {
-            KeyTerm::Key(_) => None,
-            KeyTerm::Param(p) => Some(p),
-        }
-    }
-
     /// True if the term contains no unresolved parameter.
     pub fn is_ground(&self) -> bool {
         matches!(self, KeyTerm::Key(_))

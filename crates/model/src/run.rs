@@ -158,11 +158,6 @@ impl Run {
         (idx <= self.log.events().len()).then(|| self.log.view(idx))
     }
 
-    /// The event performed at time `k` (transitioning `r(k)` to `r(k+1)`).
-    pub fn event_at(&self, k: i64) -> Option<&Event> {
-        self.log.events().get(self.index(k)?)
-    }
-
     /// Iterates over the times the run covers, earliest first.
     pub fn times(&self) -> impl Iterator<Item = i64> {
         self.start_time()..=self.horizon()
@@ -470,16 +465,6 @@ impl RunBuilder {
         self.take_buffered(&p, &message);
         self.log.push(Event::new(p, Action::receive(message)));
         self
-    }
-
-    /// Delivers the oldest buffered message to `p`, if any, returning it.
-    pub fn receive_next(&mut self, p: impl Into<Principal>) -> Option<Message> {
-        let p = p.into();
-        let buffer = self.buffers.get_mut(&p).filter(|b| !b.is_empty())?;
-        let message = buffer.remove(0);
-        self.log
-            .push(Event::new(p, Action::receive(message.clone())));
-        Some(message)
     }
 
     /// Appends a `newkey` action adding `key` to `p`'s key set (to the

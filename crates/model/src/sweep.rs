@@ -553,13 +553,6 @@ impl SweepOutcome {
         }
         System::new(runs)
     }
-
-    /// The successful `(plan, run, report)` triples in plan order.
-    pub fn ok_results(&self) -> impl Iterator<Item = (&FaultPlan, &Run, &ExecReport)> {
-        self.results
-            .iter()
-            .filter_map(|r| r.ok().map(|(run, rep)| (&r.plan, run, rep)))
-    }
 }
 
 /// Executes `plans` against `protocol`, deduplicating by fingerprint,

@@ -60,14 +60,6 @@ impl Interpretation {
         self
     }
 
-    /// Declares `prop` true at every point of run `run_idx`.
-    pub fn set_true_in_run(&mut self, prop: Prop, run_idx: usize, run: &Run) -> &mut Self {
-        for k in run.times() {
-            self.set_true_at(prop.clone(), Point::new(run_idx, k));
-        }
-        self
-    }
-
     /// Evaluates `prop` at a point of `run`.
     pub fn holds(&self, prop: &Prop, run: &Run, point: Point) -> bool {
         if self
@@ -119,12 +111,6 @@ impl System {
         self
     }
 
-    /// Adds a run, returning its index.
-    pub fn push_run(&mut self, run: Run) -> usize {
-        self.runs.push(run);
-        self.runs.len() - 1
-    }
-
     /// The runs of the system.
     pub fn runs(&self) -> &[Run] {
         &self.runs
@@ -155,11 +141,6 @@ impl System {
     /// The interpretation `π`.
     pub fn interpretation(&self) -> &Interpretation {
         &self.interp
-    }
-
-    /// Mutable access to the interpretation.
-    pub fn interpretation_mut(&mut self) -> &mut Interpretation {
-        &mut self.interp
     }
 
     /// The number of runs.
