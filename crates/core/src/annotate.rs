@@ -222,10 +222,9 @@ pub fn analyze_at_with(protocol: &AtProtocol, config: ProverConfig) -> AtAnalysi
 }
 
 /// An annotation run packaged for repeated in-place resumption (the
-/// serve daemon's `RELOAD`): the saturated prover of the final closure
-/// **with trigger indexes intact**, plus the computed goal verdicts and
-/// stability warnings. It keeps no per-step level: the final closure is
-/// all a report reads.
+/// serve daemon's `RELOAD`): the saturated prover of the final closure,
+/// the only one a report reads, **with trigger indexes intact**, plus
+/// the computed goal verdicts and stability warnings.
 ///
 /// Advancing a resume mutates its prover in place: an edit that adds
 /// assumptions costs one delta saturation, proportional to the *new*
@@ -245,10 +244,7 @@ pub struct AnalysisResume {
 /// it holds the facts [`analyze_at`] derives step by step, though the
 /// prover records other derivations for some of them.
 pub fn analyze_at_resumable(protocol: &AtProtocol) -> AnalysisResume {
-    let mut prover = Prover::with_config(
-        protocol.assumptions.iter().cloned(),
-        ProverConfig::default(),
-    );
+    let mut prover = Prover::new(protocol.assumptions.iter().cloned());
     prover.saturate();
     prover.saturate_delta(protocol.steps.iter().map(AtStep::fact));
     let mut resume = AnalysisResume {

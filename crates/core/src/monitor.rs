@@ -222,10 +222,9 @@ impl Monitor {
             // analysis.
             self.header_locked = true;
             let syms = self.feed.symbols();
-            let mut proto = std::mem::replace(&mut self.proto, AtProtocol::new(""));
             for text in &self.formula_texts {
                 let phi = parse_formula(text, syms).map_err(MonitorError::Formula)?;
-                proto = proto.goal(phi.clone());
+                self.proto.goals.push(phi.clone());
                 self.formulas.push(phi);
             }
             let initial = self
@@ -233,15 +232,15 @@ impl Monitor {
                 .builder()
                 .expect("events imply a builder")
                 .initial_state();
+            let seeds = &mut self.proto.assumptions;
             for p in initial.principals() {
                 for key in initial.key_set(p) {
-                    proto = proto.assume(Formula::has(p.clone(), key.clone()));
+                    seeds.push(Formula::has(p.clone(), key.clone()));
                 }
             }
             for key in initial.env_key_set() {
-                proto = proto.assume(Formula::has(Principal::environment(), key.clone()));
+                seeds.push(Formula::has(Principal::environment(), key.clone()));
             }
-            self.proto = proto;
         }
         self.ingest_fact();
         let builder = self.feed.builder().expect("events imply a builder");
